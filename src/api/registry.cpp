@@ -1,6 +1,7 @@
 #include "api/registry.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "async/sequential_simulation.hpp"
@@ -29,11 +30,9 @@ Assignment build_assignment(const Scenario& s, Rng& rng) {
         case Workload::kBiased:
             return make_biased_plurality(s.n, s.k, s.alpha, rng);
         case Workload::kTwoFrontRunners:
-            return make_two_front_runners(s.n, s.k, s.alpha, s.tail_fraction,
-                                          rng);
+            return make_two_front_runners(s.n, s.k, s.alpha, s.tail_fraction, rng);
         case Workload::kAdditiveGap:
-            return make_additive_gap(s.n, s.k, s.gap > 0 ? s.gap : s.n / 10,
-                                     rng);
+            return make_additive_gap(s.n, s.k, s.gap > 0 ? s.gap : s.n / 10, rng);
         case Workload::kUniform:
             return make_uniform(s.n, s.k, rng);
         case Workload::kZipf:
@@ -43,48 +42,118 @@ Assignment build_assignment(const Scenario& s, Rng& rng) {
     return {};
 }
 
-// ------------------------------------------------------------- fault layer
+// ------------------------------------------------------------ extras tables
+//
+// Each result type declares its extras once, as a table of emit(name, value)
+// rows. Both ScenarioResult::extras and ProtocolInfo::extra_metrics come from it.
 
-/// Every protocol consumes the same scenario fault knobs and reports the
-/// same fault-counter extras — zeros when the plan is inactive — so a
-/// degradation sweep can compare cells across families without
-/// special-casing keys (and the registry test's produced == declared pin
-/// stays a single uniform rule).
-const std::vector<std::string> kFaultKnobs = {
-    "fault_loss",          "fault_dup",
-    "fault_corrupt",       "fault_crash_rate",
-    "fault_recover_rate",  "fault_straggler_frac",
-    "fault_straggler_scale", "byzantine_frac",
-    "byzantine_policy"};
+/// The damage every protocol reports — zeros when the plan is inactive — so a
+/// degradation sweep compares cells across families without special-casing keys.
+template <typename Emit>
+void fault_extras(const fault::FaultCounters& faults, std::uint64_t nodes_crashed,
+                  std::uint64_t byzantine_nodes, const Emit& emit) {
+    emit("faults_injected", faults.total());
+    emit("messages_lost", faults.lost);
+    emit("messages_duplicated", faults.duplicated);
+    emit("messages_corrupted", faults.corrupted);
+    emit("messages_delayed", faults.delayed);
+    emit("crash_skips", faults.crash_skips);
+    emit("nodes_crashed", nodes_crashed);
+    emit("byzantine_nodes", byzantine_nodes);
+}
 
-const std::vector<std::string> kFaultExtraNames = {
-    "faults_injected",  "messages_lost", "messages_duplicated",
-    "messages_corrupted", "messages_delayed", "crash_skips",
-    "nodes_crashed",    "byzantine_nodes"};
+/// The counters AsyncResult and MultiLeaderResult share, plus their damage.
+/// Byzantine reporting is a sampling-layer fault; the event-driven families
+/// have no sampled-state channel to lie on, so that count is structurally zero.
+template <typename R, typename Emit>
+void event_extras(const R& r, const Emit& emit) {
+    emit("ticks", r.ticks);
+    emit("exchanges", r.exchanges);
+    emit("two_choices", r.two_choices_count);
+    emit("propagation", r.propagation_count);
+    emit("final_top_generation", r.final_top_generation);
+    emit("signals_delivered", r.signals_delivered);
+    emit("leader_peak_load", r.leader_peak_load);
+    emit("events_processed", r.events_processed);
+    emit("windows", r.windows);
+    emit("window_stragglers", r.window_stragglers);
+    fault_extras(r.faults, r.nodes_crashed, 0, emit);
+}
 
-std::vector<std::string> with_fault_knobs(std::vector<std::string> knobs) {
-    knobs.insert(knobs.end(), kFaultKnobs.begin(), kFaultKnobs.end());
+template <typename Emit>
+void extras(const async::AsyncResult& r, const Emit& emit) {
+    emit("good_ticks", r.good_ticks);
+    emit("refreshes", r.refresh_count);
+    emit("steps_per_unit", r.steps_per_unit);
+    emit("channels_opened", r.channels_opened);
+    event_extras(r, emit);
+}
+
+template <typename Emit>
+void extras(const async::ValidatedResult& r, const Emit& emit) {
+    extras(r.base, emit);
+    emit("commits", r.commits);
+    emit("aborts", r.aborts);
+    emit("abort_rate", r.abort_rate);
+}
+
+template <typename Emit>
+void extras(const cluster::MultiLeaderResult& r, const Emit& emit) {
+    emit("clustering_time", r.clustering_time);
+    emit("active_clusters", r.clustering.num_active);
+    emit("fraction_clustered", r.clustering.fraction_clustered);
+    emit("finished_fraction", r.finished_fraction);
+    emit("finished_adoptions", r.finished_adoptions);
+    emit("total_time", r.total_time());
+    event_extras(r, emit);
+}
+
+/// A sync or population run, its damage, and a population protocol's final count.
+struct Outcome {
+    core::RunResult run;
+    fault::FaultCounters faults;
+    std::uint64_t nodes_crashed = 0;
+    std::uint64_t byzantine_nodes = 0;
+    const char* final_name = nullptr;
+    double final_state = 0.0;
+};
+
+template <typename Emit>
+void extras(const Outcome& o, const Emit& emit) {
+    if (o.final_name != nullptr) emit(o.final_name, o.final_state);
+    fault_extras(o.faults, o.nodes_crashed, o.byzantine_nodes, emit);
+}
+
+// ------------------------------------------------------------- registration
+
+const core::RunResult& run_part(const core::RunResult& r) { return r; }
+const core::RunResult& run_part(const async::ValidatedResult& r) { return r.base; }
+const core::RunResult& run_part(const Outcome& o) { return o.run; }
+
+/// Registers a built-in protocol whose run yields an R: extras from R's table (named
+/// off `blank`, a default result), knobs plus the fault knobs every family consumes.
+template <typename R, typename Run>
+void add(ProtocolRegistry& registry, ProtocolInfo info, const R& blank, Run run) {
+    info.knobs.insert(info.knobs.end(),
+                      {"fault_loss", "fault_dup", "fault_corrupt", "fault_crash_rate",
+                       "fault_recover_rate", "fault_straggler_frac",
+                       "fault_straggler_scale", "byzantine_frac", "byzantine_policy"});
+    extras(blank,
+           [&info](const char* name, auto) { info.extra_metrics.emplace_back(name); });
+    registry.register_protocol(
+        std::move(info), [run = std::move(run)](const Scenario& s, std::uint64_t seed) {
+            const R r = run(s, seed);
+            ScenarioResult out{run_part(r), {}};
+            extras(r, [&out](const char* name, auto value) {
+                out.extras[name] = static_cast<double>(value);
+            });
+            return out;
+        });
+}
+
+std::vector<std::string> with(const char* knob, std::vector<std::string> knobs) {
+    knobs.insert(knobs.begin(), knob);
     return knobs;
-}
-
-std::vector<std::string> with_fault_extras(std::vector<std::string> names) {
-    names.insert(names.end(), kFaultExtraNames.begin(),
-                 kFaultExtraNames.end());
-    return names;
-}
-
-void add_fault_extras(std::map<std::string, double>& extras,
-                      const fault::FaultCounters& counters,
-                      std::uint64_t nodes_crashed,
-                      std::uint64_t byzantine_nodes) {
-    extras["faults_injected"] = static_cast<double>(counters.total());
-    extras["messages_lost"] = static_cast<double>(counters.lost);
-    extras["messages_duplicated"] = static_cast<double>(counters.duplicated);
-    extras["messages_corrupted"] = static_cast<double>(counters.corrupted);
-    extras["messages_delayed"] = static_cast<double>(counters.delayed);
-    extras["crash_skips"] = static_cast<double>(counters.crash_skips);
-    extras["nodes_crashed"] = static_cast<double>(nodes_crashed);
-    extras["byzantine_nodes"] = static_cast<double>(byzantine_nodes);
 }
 
 // ------------------------------------------------------------- sync family
@@ -95,20 +164,17 @@ using SyncFactory = std::unique_ptr<sync::SyncDynamics> (*)(const Scenario&,
 /// Shared driver for the synchronous dynamics. The RNG scheme (run rng
 /// seeded directly, workload rng from derive_seed(seed, 1)) matches what
 /// papc_cli has always done, so historical CLI invocations reproduce.
-ScenarioResult run_sync_family(const Scenario& s, std::uint64_t seed,
-                               SyncFactory factory) {
+Outcome run_sync_family(const Scenario& s, std::uint64_t seed, SyncFactory factory) {
     Rng rng(seed);
     Rng workload_rng(derive_seed(seed, 1));
     const Assignment assignment = build_assignment(s, workload_rng);
-    const std::unique_ptr<sync::SyncDynamics> dynamics =
-        factory(s, assignment);
+    const std::unique_ptr<sync::SyncDynamics> dynamics = factory(s, assignment);
 
     sync::RunOptions options;
     if (s.max_steps > 0) options.max_rounds = s.max_steps;
     options.record_every =
         s.record_series ? (s.record_every > 0 ? s.record_every : 1) : 0;
     options.epsilon = s.epsilon;
-    options.plurality = 0;
 
     // Fault layer: the injector reads `rng` through pure substreams (the
     // parent is never advanced), so a zero plan leaves the trajectory
@@ -121,71 +187,77 @@ ScenarioResult run_sync_family(const Scenario& s, std::uint64_t seed,
         dynamics->set_fault_injector(injector.get());
     }
 
-    ScenarioResult out;
+    Outcome out;
     out.run = sync::run_to_consensus(*dynamics, rng, options);
-    fault::FaultCounters counters;
-    counters.crash_skips = dynamics->fault_crash_skips();
-    add_fault_extras(out.extras, counters,
-                     injector ? injector->nodes_crashed() : 0,
-                     injector ? injector->byzantine_count() : 0);
+    out.faults.crash_skips = dynamics->fault_crash_skips();
+    if (injector) {
+        out.nodes_crashed = injector->nodes_crashed();
+        out.byzantine_nodes = injector->byzantine_count();
+    }
     return out;
+}
+
+std::unique_ptr<sync::SyncDynamics> algorithm1(const Scenario& s,
+                                               const Assignment& assignment) {
+    sync::ScheduleParams params;
+    params.n = s.n;
+    params.k = s.k;
+    params.alpha = std::max(s.alpha, 1.01);
+    params.gamma = s.gamma;
+    return std::make_unique<sync::Algorithm1>(assignment, sync::Schedule(params),
+                                              s.threads);
+}
+
+template <typename Dynamics>
+std::unique_ptr<sync::SyncDynamics> baseline(const Scenario& s,
+                                             const Assignment& assignment) {
+    return std::make_unique<Dynamics>(assignment, s.threads);
 }
 
 // ------------------------------------------------------- population family
 
-const std::uint64_t kPopulationWorkloadSalt = 0xB00;
-const std::uint64_t kPopulationRunSalt = 0xB1;
+/// Registers one population protocol; its extra `final_name` is what `final_state`
+/// reads off the protocol after the run. The protocols take opinion counts: the
+/// node shuffle is irrelevant to their exchangeable dynamics.
+template <typename Protocol, typename Read, typename Make>
+void add_population(ProtocolRegistry& registry, const char* name,
+                    const char* description, std::uint32_t max_k,
+                    const char* final_name, Read final_state, Make make) {
+    Outcome blank;
+    blank.final_name = final_name;
+    add(registry,
+        {name, "population", description, {"max-steps", "record-every"}, {}, 2, max_k},
+        blank, [blank, final_state, make](const Scenario& s, std::uint64_t seed) {
+            Rng workload_rng(derive_seed(seed, 0xB00));
+            const Assignment assignment = build_assignment(s, workload_rng);
+            std::vector<std::size_t> counts(s.k, 0);
+            for (const Opinion opinion : assignment.opinions) ++counts[opinion];
+            Protocol protocol = make(counts);
+            Rng rng(derive_seed(seed, 0xB1));
 
-population::PopulationRunOptions population_options(const Scenario& s) {
-    population::PopulationRunOptions options;
-    options.max_interactions = s.max_steps;
-    options.record_every =
-        s.record_series
-            ? (s.record_every > 0 ? s.record_every : s.n)
-            : 0;
-    options.epsilon = s.epsilon;
-    options.plurality = 0;
-    return options;
+            const fault::FaultPlan plan = fault_plan(s);
+            Outcome out = blank;
+            population::PopulationRunOptions options;
+            options.max_interactions = s.max_steps;
+            options.record_every =
+                s.record_series ? (s.record_every > 0 ? s.record_every : s.n) : 0;
+            options.epsilon = s.epsilon;
+            options.fault = &plan;
+            options.fault_counters = &out.faults;
+            options.nodes_crashed = &out.nodes_crashed;
+            options.byzantine_nodes = &out.byzantine_nodes;
+            out.run = population::run_population(protocol, rng, options);
+            out.final_state = static_cast<double>(final_state(protocol));
+            return out;
+        });
 }
 
-/// Stack-frame bundle wiring one population run to the fault layer: the
-/// plan plus the scheduler's out-params, folded into extras afterwards.
-struct PopulationFaultHook {
-    fault::FaultPlan plan;
-    fault::FaultCounters counters;
-    std::uint64_t crashed = 0;
-    std::uint64_t byzantine = 0;
+// ------------------------------------------------------ event-driven family
 
-    explicit PopulationFaultHook(const Scenario& s) : plan(fault_plan(s)) {}
-
-    void attach(population::PopulationRunOptions& options) {
-        options.fault = &plan;
-        options.fault_counters = &counters;
-        options.nodes_crashed = &crashed;
-        options.byzantine_nodes = &byzantine;
-    }
-
-    void fill(std::map<std::string, double>& extras) const {
-        add_fault_extras(extras, counters, crashed, byzantine);
-    }
-};
-
-/// Per-opinion counts of the workload assignment (the population protocols
-/// take counts, not per-node vectors; the node shuffle is irrelevant to
-/// their exchangeable dynamics).
-std::vector<std::size_t> workload_counts(const Scenario& s,
-                                         std::uint64_t seed) {
-    Rng workload_rng(derive_seed(seed, kPopulationWorkloadSalt));
-    const Assignment assignment = build_assignment(s, workload_rng);
-    std::vector<std::size_t> counts(s.k, 0);
-    for (const Opinion opinion : assignment.opinions) ++counts[opinion];
-    return counts;
-}
-
-// ------------------------------------------------------------ async family
-
-async::AsyncConfig async_config_from(const Scenario& s) {
-    async::AsyncConfig config;
+/// AsyncConfig or ClusterConfig from the scenario's event-family knobs.
+template <typename Config>
+Config event_config(const Scenario& s) {
+    Config config;
     config.lambda = s.lambda;
     config.alpha_hint = std::max(s.alpha, 1.05);
     config.epsilon = s.epsilon;
@@ -199,326 +271,100 @@ async::AsyncConfig async_config_from(const Scenario& s) {
     return config;
 }
 
-std::map<std::string, double> async_extras(const async::AsyncResult& r) {
-    std::map<std::string, double> extras = {
-        {"ticks", static_cast<double>(r.ticks)},
-        {"good_ticks", static_cast<double>(r.good_ticks)},
-        {"exchanges", static_cast<double>(r.exchanges)},
-        {"two_choices", static_cast<double>(r.two_choices_count)},
-        {"propagation", static_cast<double>(r.propagation_count)},
-        {"refreshes", static_cast<double>(r.refresh_count)},
-        {"final_top_generation", static_cast<double>(r.final_top_generation)},
-        {"steps_per_unit", r.steps_per_unit},
-        {"channels_opened", static_cast<double>(r.channels_opened)},
-        {"signals_delivered", static_cast<double>(r.signals_delivered)},
-        {"leader_peak_load", r.leader_peak_load},
-        {"events_processed", static_cast<double>(r.events_processed)},
-        {"windows", static_cast<double>(r.windows)},
-        {"window_stragglers", static_cast<double>(r.window_stragglers)},
-    };
-    // Byzantine reporting is a sampling-layer fault; the event-driven
-    // families have no sampled-state channel to lie on, so the count is
-    // structurally zero there.
-    add_fault_extras(extras, r.faults, r.nodes_crashed, 0);
-    return extras;
+/// The async and sequential engines share one driver.
+template <typename Simulation, std::uint64_t kWorkloadSalt, std::uint64_t kRunSalt>
+async::AsyncResult single_leader(const Scenario& s, std::uint64_t seed) {
+    Rng workload_rng(derive_seed(seed, kWorkloadSalt));
+    Simulation simulation(build_assignment(s, workload_rng),
+                          event_config<async::AsyncConfig>(s),
+                          derive_seed(seed, kRunSalt));
+    return simulation.run();
 }
-
-const std::vector<std::string> kAsyncExtraNames = with_fault_extras({
-    "ticks",          "good_ticks",        "exchanges",
-    "two_choices",    "propagation",       "refreshes",
-    "final_top_generation", "steps_per_unit", "channels_opened",
-    "signals_delivered", "leader_peak_load", "events_processed",
-    "windows", "window_stragglers",
-});
-
-// ---------------------------------------------------------- cluster family
-
-cluster::ClusterConfig cluster_config_from(const Scenario& s) {
-    cluster::ClusterConfig config;
-    config.lambda = s.lambda;
-    config.alpha_hint = std::max(s.alpha, 1.05);
-    config.epsilon = s.epsilon;
-    config.max_time = s.max_time;
-    config.sample_interval = s.sample_interval;
-    config.record_series = s.record_series;
-    config.queue_kind = s.queue_kind;
-    config.threads = s.threads;
-    config.window = s.window;
-    config.fault = fault_plan(s);
-    return config;
-}
-
-// ----------------------------------------------------------- registration
 
 void register_builtins(ProtocolRegistry& registry) {
-    const std::vector<std::string> sync_knobs =
-        with_fault_knobs({"threads", "max-steps", "record-every"});
-    const std::vector<std::string> population_knobs =
-        with_fault_knobs({"max-steps", "record-every"});
-    const std::vector<std::string> event_knobs = with_fault_knobs(
-        {"lambda", "max-time", "sample-interval", "queue", "threads",
-         "window"});
-    const std::vector<std::string> sync_extras = with_fault_extras({});
+    struct SyncRow {
+        const char* name;
+        const char* description;
+        SyncFactory factory;
+        std::vector<std::string> knobs;
+    };
+    const std::vector<std::string> sync_knobs = {"threads", "max-steps",
+                                                 "record-every"};
+    const SyncRow sync_rows[] = {
+        {"sync", "Algorithm 1 (generation-based synchronous protocol)", algorithm1,
+         with("gamma", sync_knobs)},
+        {"two-choices", "two-choices voting baseline [CER14]",
+         baseline<sync::TwoChoices>, sync_knobs},
+        {"3-majority", "3-majority baseline [BCN+14]", baseline<sync::ThreeMajority>,
+         sync_knobs},
+        {"undecided", "undecided-state dynamics baseline [AAE08, BCN+15]",
+         baseline<sync::UndecidedState>, sync_knobs},
+        {"pull", "pull-voting baseline [HP01, NIY99]", baseline<sync::PullVoting>,
+         sync_knobs},
+    };
+    for (const SyncRow& row : sync_rows) {
+        add(registry, {row.name, "sync", row.description, row.knobs, {}, 2, 0},
+            Outcome(), [factory = row.factory](const Scenario& s, std::uint64_t seed) {
+                return run_sync_family(s, seed, factory);
+            });
+    }
 
-    // --- synchronous round dynamics -------------------------------------
-    registry.register_protocol(
-        ProtocolInfo{"sync", "sync",
-                     "Algorithm 1 (generation-based synchronous protocol)",
-                     with_fault_knobs(
-                         {"gamma", "threads", "max-steps", "record-every"}),
-                     sync_extras,
-                     2, 0},
-        [](const Scenario& s, std::uint64_t seed) {
-            return run_sync_family(
-                s, seed,
-                [](const Scenario& scenario, const Assignment& assignment)
-                    -> std::unique_ptr<sync::SyncDynamics> {
-                    sync::ScheduleParams params;
-                    params.n = scenario.n;
-                    params.k = scenario.k;
-                    params.alpha = std::max(scenario.alpha, 1.01);
-                    params.gamma = scenario.gamma;
-                    return std::make_unique<sync::Algorithm1>(
-                        assignment, sync::Schedule(params), scenario.threads);
-                });
-        });
-    registry.register_protocol(
-        ProtocolInfo{"two-choices", "sync",
-                     "two-choices voting baseline [CER14]",
-                     sync_knobs,
-                     sync_extras,
-                     2, 0},
-        [](const Scenario& s, std::uint64_t seed) {
-            return run_sync_family(
-                s, seed,
-                [](const Scenario& scenario, const Assignment& assignment)
-                    -> std::unique_ptr<sync::SyncDynamics> {
-                    return std::make_unique<sync::TwoChoices>(assignment,
-                                                         scenario.threads);
-                });
-        });
-    registry.register_protocol(
-        ProtocolInfo{"3-majority", "sync",
-                     "3-majority baseline [BCN+14]",
-                     sync_knobs,
-                     sync_extras,
-                     2, 0},
-        [](const Scenario& s, std::uint64_t seed) {
-            return run_sync_family(
-                s, seed,
-                [](const Scenario& scenario, const Assignment& assignment)
-                    -> std::unique_ptr<sync::SyncDynamics> {
-                    return std::make_unique<sync::ThreeMajority>(assignment,
-                                                         scenario.threads);
-                });
-        });
-    registry.register_protocol(
-        ProtocolInfo{"undecided", "sync",
-                     "undecided-state dynamics baseline [AAE08, BCN+15]",
-                     sync_knobs,
-                     sync_extras,
-                     2, 0},
-        [](const Scenario& s, std::uint64_t seed) {
-            return run_sync_family(
-                s, seed,
-                [](const Scenario& scenario, const Assignment& assignment)
-                    -> std::unique_ptr<sync::SyncDynamics> {
-                    return std::make_unique<sync::UndecidedState>(assignment,
-                                                         scenario.threads);
-                });
-        });
-    registry.register_protocol(
-        ProtocolInfo{"pull", "sync",
-                     "pull-voting baseline [HP01, NIY99]",
-                     sync_knobs,
-                     sync_extras,
-                     2, 0},
-        [](const Scenario& s, std::uint64_t seed) {
-            return run_sync_family(
-                s, seed,
-                [](const Scenario& scenario, const Assignment& assignment)
-                    -> std::unique_ptr<sync::SyncDynamics> {
-                    return std::make_unique<sync::PullVoting>(assignment,
-                                                         scenario.threads);
-                });
-        });
+    add_population<population::ThreeStateMajority>(
+        registry, "pp-3-state", "3-state approximate majority [AAE08]", 2,
+        "blank_final", [](const auto& p) { return p.count_blank(); },
+        [](const auto& c) { return population::ThreeStateMajority(c[0], c[1]); });
+    add_population<population::FourStateExactMajority>(
+        registry, "pp-4-state", "4-state exact majority [DV10, MNRS14]", 2,
+        "strong_difference", [](const auto& p) { return p.strong_difference(); },
+        [](const auto& c) { return population::FourStateExactMajority(c[0], c[1]); });
+    add_population<population::KUndecided>(
+        registry, "pp-undecided",
+        "k-opinion undecided-state population protocol [BCN+15]", 0, "undecided_final",
+        [](const auto& p) { return p.undecided_count(); },
+        [](const auto& c) { return population::KUndecided(c); });
 
-    // --- population protocols -------------------------------------------
-    registry.register_protocol(
-        ProtocolInfo{"pp-3-state", "population",
-                     "3-state approximate majority [AAE08]",
-                     population_knobs,
-                     with_fault_extras({"blank_final"}),
-                     2, 2},
-        [](const Scenario& s, std::uint64_t seed) {
-            const std::vector<std::size_t> counts = workload_counts(s, seed);
-            population::ThreeStateMajority protocol(counts[0], counts[1]);
-            Rng rng(derive_seed(seed, kPopulationRunSalt));
-            PopulationFaultHook hook(s);
-            population::PopulationRunOptions options = population_options(s);
-            hook.attach(options);
-            ScenarioResult out;
-            out.run = population::run_population(protocol, rng, options);
-            out.extras = {
-                {"blank_final", static_cast<double>(protocol.count_blank())}};
-            hook.fill(out.extras);
-            return out;
-        });
-    registry.register_protocol(
-        ProtocolInfo{"pp-4-state", "population",
-                     "4-state exact majority [DV10, MNRS14]",
-                     population_knobs,
-                     with_fault_extras({"strong_difference"}),
-                     2, 2},
-        [](const Scenario& s, std::uint64_t seed) {
-            const std::vector<std::size_t> counts = workload_counts(s, seed);
-            population::FourStateExactMajority protocol(counts[0], counts[1]);
-            Rng rng(derive_seed(seed, kPopulationRunSalt));
-            PopulationFaultHook hook(s);
-            population::PopulationRunOptions options = population_options(s);
-            hook.attach(options);
-            ScenarioResult out;
-            out.run = population::run_population(protocol, rng, options);
-            out.extras = {{"strong_difference",
-                           static_cast<double>(protocol.strong_difference())}};
-            hook.fill(out.extras);
-            return out;
-        });
-    registry.register_protocol(
-        ProtocolInfo{"pp-undecided", "population",
-                     "k-opinion undecided-state population protocol [BCN+15]",
-                     population_knobs,
-                     with_fault_extras({"undecided_final"}),
-                     2, 0},
-        [](const Scenario& s, std::uint64_t seed) {
-            const std::vector<std::size_t> counts = workload_counts(s, seed);
-            population::KUndecided protocol(counts);
-            Rng rng(derive_seed(seed, kPopulationRunSalt));
-            PopulationFaultHook hook(s);
-            population::PopulationRunOptions options = population_options(s);
-            hook.attach(options);
-            ScenarioResult out;
-            out.run = population::run_population(protocol, rng, options);
-            out.extras = {
-                {"undecided_final",
-                 static_cast<double>(protocol.undecided_count())}};
-            hook.fill(out.extras);
-            return out;
-        });
-
-    // --- asynchronous single-leader family ------------------------------
-    registry.register_protocol(
-        ProtocolInfo{"async", "async",
-                     "asynchronous single-leader protocol (Algorithms 2+3)",
-                     event_knobs, kAsyncExtraNames, 2, 0},
-        [](const Scenario& s, std::uint64_t seed) {
-            // Same seed salts as async::run_single_leader, so the biased
-            // workload reproduces it bit-for-bit (pinned by the api tests).
-            Rng workload_rng(derive_seed(seed, 0xA551));
-            const Assignment assignment = build_assignment(s, workload_rng);
-            async::SingleLeaderSimulation simulation(
-                assignment, async_config_from(s), derive_seed(seed, 0x51));
-            const async::AsyncResult r = simulation.run();
-            return ScenarioResult{r, async_extras(r)};
-        });
-    registry.register_protocol(
-        ProtocolInfo{"sequential", "async",
-                     "sequentialized single-leader reference (instant channels)",
-                     with_fault_knobs(
-                         {"max-time", "sample-interval", "window"}),
-                     kAsyncExtraNames, 2, 0},
-        [](const Scenario& s, std::uint64_t seed) {
-            Rng workload_rng(derive_seed(seed, 0xA553));
-            const Assignment assignment = build_assignment(s, workload_rng);
-            async::SequentialSingleLeaderSimulation simulation(
-                assignment, async_config_from(s), derive_seed(seed, 0x53));
-            const async::AsyncResult r = simulation.run();
-            return ScenarioResult{r, async_extras(r)};
-        });
-    registry.register_protocol(
-        ProtocolInfo{"validated", "async",
-                     "single-leader with validated commits under message "
-                     "latencies (Section 5)",
-                     with_fault_knobs(
-                         {"lambda", "msg-rate", "max-time",
-                          "sample-interval", "queue", "threads", "window"}),
-                     [] {
-                         std::vector<std::string> names = kAsyncExtraNames;
-                         names.insert(names.end(),
-                                      {"commits", "aborts", "abort_rate"});
-                         return names;
-                     }(),
-                     2, 0},
-        [](const Scenario& s, std::uint64_t seed) {
+    // Seed salts as in async::run_single_leader and cluster::run_multi_leader,
+    // so the biased workload reproduces them bit-for-bit (pinned by the api
+    // tests). The sequential reference forces one thread; lambda still sets its
+    // auto window.
+    const std::vector<std::string> sequential_knobs = {
+        "lambda", "max-time", "sample-interval", "queue", "window"};
+    const std::vector<std::string> event_knobs = with("threads", sequential_knobs);
+    add(registry,
+        {"async", "async", "asynchronous single-leader protocol (Algorithms 2+3)",
+         event_knobs, {}, 2, 0},
+        async::AsyncResult(),
+        single_leader<async::SingleLeaderSimulation, 0xA551, 0x51>);
+    add(registry,
+        {"sequential", "async",
+         "sequentialized single-leader reference (instant channels)",
+         sequential_knobs, {}, 2, 0},
+        async::AsyncResult(),
+        single_leader<async::SequentialSingleLeaderSimulation, 0xA553, 0x53>);
+    add(registry,
+        {"validated", "async",
+         "single-leader with validated commits under message latencies (Section 5)",
+         with("msg-rate", event_knobs), {}, 2, 0},
+        async::ValidatedResult(), [](const Scenario& s, std::uint64_t seed) {
             Rng workload_rng(derive_seed(seed, 0xA552));
-            const Assignment assignment = build_assignment(s, workload_rng);
             async::ValidatedSingleLeaderSimulation simulation(
-                assignment, async_config_from(s),
+                build_assignment(s, workload_rng), event_config<async::AsyncConfig>(s),
                 sim::make_exponential_latency(s.lambda),
-                sim::make_exponential_latency(s.msg_rate),
-                derive_seed(seed, 0x52));
-            const async::ValidatedResult r = simulation.run();
-            ScenarioResult out{r.base, async_extras(r.base)};
-            out.extras["commits"] = static_cast<double>(r.commits);
-            out.extras["aborts"] = static_cast<double>(r.aborts);
-            out.extras["abort_rate"] = r.abort_rate;
-            return out;
+                sim::make_exponential_latency(s.msg_rate), derive_seed(seed, 0x52));
+            return simulation.run();
         });
-
-    // --- decentralized multi-leader protocol ----------------------------
-    registry.register_protocol(
-        ProtocolInfo{"multi", "cluster",
-                     "decentralized multi-leader protocol (Algorithms 4+5)",
-                     event_knobs,
-                     with_fault_extras(
-                         {"clustering_time", "active_clusters",
-                          "fraction_clustered", "finished_fraction", "ticks",
-                          "exchanges", "two_choices", "propagation",
-                          "finished_adoptions", "final_top_generation",
-                          "signals_delivered", "leader_peak_load",
-                          "total_time", "events_processed", "windows",
-                          "window_stragglers"}),
-                     2, 0},
-        [](const Scenario& s, std::uint64_t seed) {
-            // Same seed salts as cluster::run_multi_leader (bit-identical
-            // for the biased workload).
+    add(registry,
+        {"multi", "cluster", "decentralized multi-leader protocol (Algorithms 4+5)",
+         event_knobs, {}, 2, 0},
+        cluster::MultiLeaderResult(), [](const Scenario& s, std::uint64_t seed) {
             Rng workload_rng(derive_seed(seed, 0xC1A0));
-            const Assignment assignment = build_assignment(s, workload_rng);
-            const cluster::ClusterConfig config = cluster_config_from(s);
             Rng clustering_rng(derive_seed(seed, 0xC1A1));
-            cluster::ClusteringResult clustering =
-                cluster::run_clustering(s.n, config, clustering_rng);
+            const auto config = event_config<cluster::ClusterConfig>(s);
             cluster::MultiLeaderSimulation simulation(
-                assignment, std::move(clustering), config,
+                build_assignment(s, workload_rng),
+                cluster::run_clustering(s.n, config, clustering_rng), config,
                 derive_seed(seed, 0xC1A2));
-            const cluster::MultiLeaderResult r = simulation.run();
-            ScenarioResult out;
-            out.run = r;
-            out.extras = {
-                {"clustering_time", r.clustering_time},
-                {"active_clusters",
-                 static_cast<double>(r.clustering.num_active)},
-                {"fraction_clustered", r.clustering.fraction_clustered},
-                {"finished_fraction", r.finished_fraction},
-                {"ticks", static_cast<double>(r.ticks)},
-                {"exchanges", static_cast<double>(r.exchanges)},
-                {"two_choices", static_cast<double>(r.two_choices_count)},
-                {"propagation", static_cast<double>(r.propagation_count)},
-                {"finished_adoptions",
-                 static_cast<double>(r.finished_adoptions)},
-                {"final_top_generation",
-                 static_cast<double>(r.final_top_generation)},
-                {"signals_delivered",
-                 static_cast<double>(r.signals_delivered)},
-                {"leader_peak_load", r.leader_peak_load},
-                {"total_time", r.total_time()},
-                {"events_processed", static_cast<double>(r.events_processed)},
-                {"windows", static_cast<double>(r.windows)},
-                {"window_stragglers",
-                 static_cast<double>(r.window_stragglers)},
-            };
-            add_fault_extras(out.extras, r.faults, r.nodes_crashed, 0);
-            return out;
+            return simulation.run();
         });
 }
 
@@ -557,19 +403,15 @@ std::vector<std::string> ProtocolRegistry::names() const {
 
 ScenarioResult ProtocolRegistry::run(const Scenario& scenario,
                                      std::uint64_t seed) const {
-    PAPC_CHECK(check(scenario).empty());
+    PAPC_CHECK(check(scenario).empty());  // so the protocol is registered
     for (const Entry& entry : entries_) {
-        if (entry.info.name == scenario.protocol) {
-            return entry.fn(scenario, seed);
-        }
+        if (entry.info.name == scenario.protocol) return entry.fn(scenario, seed);
     }
     PAPC_CHECK(false);
-    ScenarioResult unreachable;
-    return unreachable;
+    return ScenarioResult();
 }
 
-std::vector<std::string> ProtocolRegistry::check(
-    const Scenario& scenario) const {
+std::vector<std::string> ProtocolRegistry::check(const Scenario& scenario) const {
     std::vector<std::string> problems = validate(scenario);
     const ProtocolInfo* info = find(scenario.protocol);
     if (info == nullptr) {
@@ -577,13 +419,11 @@ std::vector<std::string> ProtocolRegistry::check(
                            "' (see --list-protocols)");
         return problems;
     }
-    if (scenario.k < info->min_k ||
-        (info->max_k > 0 && scenario.k > info->max_k)) {
-        problems.push_back(
-            "protocol '" + info->name + "' requires k in [" +
-            std::to_string(info->min_k) + ", " +
-            (info->max_k > 0 ? std::to_string(info->max_k) : "inf") +
-            "], got " + std::to_string(scenario.k));
+    if (scenario.k < info->min_k || (info->max_k > 0 && scenario.k > info->max_k)) {
+        problems.push_back("protocol '" + info->name + "' requires k in [" +
+                           std::to_string(info->min_k) + ", " +
+                           (info->max_k > 0 ? std::to_string(info->max_k) : "inf") +
+                           "], got " + std::to_string(scenario.k));
     }
     return problems;
 }
@@ -592,8 +432,8 @@ ScenarioResult run(const Scenario& scenario, std::uint64_t seed) {
     return ProtocolRegistry::instance().run(scenario, seed);
 }
 
-void write_json(JsonWriter& writer, const Scenario& scenario,
-                std::uint64_t seed, const ScenarioResult& result) {
+void write_json(JsonWriter& writer, const Scenario& scenario, std::uint64_t seed,
+                const ScenarioResult& result) {
     writer.begin_object();
     writer.key("scenario");
     write_json(writer, scenario);
@@ -602,9 +442,7 @@ void write_json(JsonWriter& writer, const Scenario& scenario,
     core::write_json(writer, result.run);
     writer.key("extras");
     writer.begin_object();
-    for (const auto& [name, value] : result.extras) {
-        writer.kv(name, value);
-    }
+    for (const auto& [name, value] : result.extras) writer.kv(name, value);
     writer.end_object();
     writer.end_object();
 }

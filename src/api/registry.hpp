@@ -11,7 +11,11 @@
 /// Each entry carries capability metadata — which Scenario knobs the
 /// protocol consumes and which family-specific extras its run reports —
 /// so front ends (papc_cli --list-protocols) and sweeps can be fully
-/// table-driven. The built-in protocols:
+/// table-driven. For the built-ins, both come from one table per family
+/// in registry.cpp: each result type lists its extras once, as (name,
+/// value) rows that fill ScenarioResult::extras and name extra_metrics,
+/// and each family has one base knob list that a protocol extends or
+/// trims. The built-in protocols:
 ///
 ///   sync family        sync, two-choices, 3-majority, undecided, pull
 ///   population family  pp-3-state, pp-4-state, pp-undecided
@@ -52,8 +56,8 @@ struct ProtocolInfo {
 };
 
 /// Outcome of one scenario run: the unified result plus the family extras
-/// flattened into named metrics (e.g. "exchanges", "abort_rate",
-/// "clustering_time").
+/// flattened into named metrics (e.g. `exchanges`, `abort_rate`,
+/// `clustering_time`).
 struct ScenarioResult {
     core::RunResult run;
     std::map<std::string, double> extras;

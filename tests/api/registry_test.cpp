@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -64,6 +65,122 @@ TEST(ProtocolRegistry, ExtrasMatchTheDeclaredMetadataExactly) {
             produced.insert(metric);
         }
         EXPECT_EQ(produced, declared) << name;
+    }
+}
+
+std::string result_json(const Scenario& scenario, std::uint64_t seed,
+                        const ScenarioResult& result) {
+    JsonWriter writer;
+    write_json(writer, scenario, seed, result);
+    return writer.str();
+}
+
+std::uint64_t fnv1a(const std::string& text) {
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char c : text) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/// The golden scenario: k = 3 where the protocol allows it, optionally with
+/// a plan under which every fault counter is nonzero for some family.
+Scenario golden_scenario(const std::string& protocol, bool faulted) {
+    const ProtocolInfo* info = ProtocolRegistry::instance().find(protocol);
+    Scenario s = tiny_scenario(protocol, info->max_k > 0 ? info->max_k : 3);
+    if (faulted) {
+        s.fault_loss = 0.05;
+        s.fault_dup = 0.05;
+        s.fault_corrupt = 0.05;
+        s.fault_crash_rate = 0.002;
+        s.fault_recover_rate = 0.05;
+        s.fault_straggler_frac = 0.1;
+        s.byzantine_frac = 0.05;
+        // Faulted runs rarely converge; bound them to stay test-sized.
+        if (info->family == "sync") s.max_steps = 200;
+        s.max_time = 150.0;
+    }
+    return s;
+}
+
+/// FNV-1a of write_json(scenario, seed, result) per protocol, fault-free
+/// and faulted: pins every extras key and value, not just the run.
+struct Golden {
+    std::uint64_t clean;
+    std::uint64_t faulted;
+};
+const std::map<std::string, Golden>& golden_hashes() {
+    static const std::map<std::string, Golden> hashes = {
+        {"3-majority", {0x5da9502a08436f84ULL, 0x39f58629783d2405ULL}},
+        {"async", {0xc445d990c7bcead8ULL, 0x3d7e375b75537388ULL}},
+        {"multi", {0x209fa9703357069fULL, 0xae9fb2baa6227321ULL}},
+        {"pp-3-state", {0x74e5e5a8f4a31ab6ULL, 0xe64b58775abf9d0aULL}},
+        {"pp-4-state", {0x1b6d5036cf9e1cd5ULL, 0xf95702ca19239663ULL}},
+        {"pp-undecided", {0x74fe33b573d8c1d5ULL, 0x84845076bf80d197ULL}},
+        {"pull", {0xdf7a38b4d8cb12a7ULL, 0x1109ede7a7beb039ULL}},
+        {"sequential", {0x7065558bb865fc34ULL, 0x8d78e51b39e2e423ULL}},
+        {"sync", {0xd1c2632dec297e94ULL, 0x5805401f50a8d2b6ULL}},
+        {"two-choices", {0x6845813127a2679fULL, 0x1700b0ca9c891d9bULL}},
+        {"undecided", {0x459f67ff485022c4ULL, 0x757569127720a9ebULL}},
+        {"validated", {0x862602e1164f2ff9ULL, 0x6c147cd061e3f68eULL}},
+    };
+    return hashes;
+}
+
+TEST(ProtocolRegistry, ResultsAndExtrasMatchTheGoldenHashes) {
+    for (const auto& [name, golden] : golden_hashes()) {
+        for (const bool faulted : {false, true}) {
+            const Scenario s = golden_scenario(name, faulted);
+            const std::uint64_t hash = fnv1a(result_json(s, 2020, run(s, 2020)));
+            EXPECT_EQ(hash, faulted ? golden.faulted : golden.clean)
+                << name << (faulted ? " (faulted)" : " (fault-free)") << ": 0x"
+                << std::hex << hash;
+        }
+    }
+}
+
+TEST(ProtocolRegistry, FaultedGoldensExerciseEveryFaultCounter) {
+    std::set<std::string> nonzero;
+    for (const auto& [name, golden] : golden_hashes()) {
+        (void)golden;
+        const ScenarioResult r = run(golden_scenario(name, true), 2020);
+        for (const auto& [metric, value] : r.extras) {
+            if (value != 0.0) nonzero.insert(metric);
+        }
+    }
+    for (const char* counter :
+         {"faults_injected", "messages_lost", "messages_duplicated",
+          "messages_corrupted", "messages_delayed", "crash_skips",
+          "nodes_crashed", "byzantine_nodes"}) {
+        EXPECT_EQ(nonzero.count(counter), 1U) << counter;
+    }
+}
+
+TEST(ProtocolRegistry, UndeclaredKnobsLeaveTheRunUnchanged) {
+    // Every non-universal field, with a value away from its default.
+    const std::vector<std::pair<std::string, std::string>> moved = {
+        {"lambda", "4"},         {"msg-rate", "5"},       {"gamma", "0.3"},
+        {"threads", "2"},        {"window", "0.5"},       {"max-steps", "3"},
+        {"max-time", "5"},       {"record-every", "7"},   {"sample-interval", "1"},
+        {"queue", "ladder"}};
+    for (const auto& [name, golden] : golden_hashes()) {
+        (void)golden;
+        const std::vector<std::string>& knobs =
+            ProtocolRegistry::instance().find(name)->knobs;
+        const Scenario base = tiny_scenario(name, 2);
+        const std::string expected = result_json(base, 3, run(base, 3));
+        for (const auto& [field, value] : moved) {
+            if (std::find(knobs.begin(), knobs.end(), field) != knobs.end()) {
+                continue;
+            }
+            Scenario s = base;
+            ASSERT_EQ(set_field(s, field, value), "") << field;
+            // Serialized against the base scenario: only result and extras
+            // may differ.
+            EXPECT_TRUE(result_json(base, 3, run(s, 3)) == expected)
+                << name << " changes with undeclared knob " << field;
+        }
     }
 }
 
