@@ -325,11 +325,12 @@ void register_builtins(ProtocolRegistry& registry) {
 
     // Seed salts as in async::run_single_leader and cluster::run_multi_leader,
     // so the biased workload reproduces them bit-for-bit (pinned by the api
-    // tests). The sequential reference forces one thread; lambda still sets its
-    // auto window.
-    const std::vector<std::string> sequential_knobs = {
-        "lambda", "max-time", "sample-interval", "queue", "window"};
-    const std::vector<std::string> event_knobs = with("threads", sequential_knobs);
+    // tests). The sequential reference is a plain tick loop: no threads and no
+    // queue, but lambda still sets its auto window.
+    const std::vector<std::string> sequential_knobs = {"lambda", "max-time",
+                                                       "sample-interval", "window"};
+    const std::vector<std::string> event_knobs = {
+        "threads", "lambda", "max-time", "sample-interval", "queue", "window"};
     add(registry,
         {"async", "async", "asynchronous single-leader protocol (Algorithms 2+3)",
          event_knobs, {}, 2, 0},

@@ -15,39 +15,26 @@
 ///
 /// Ordering assumptions: the n independent rate-1 clocks collapse into a
 /// single global Exp(n) tick stream whose winner is a uniform node drawn
-/// *after* the race (memorylessness). The engine keeps exactly one pending
-/// tick, so ties are impossible by construction. Since PR 6 that single
-/// pending event lives in a one-shard windowed executor
-/// (sim/windowed_executor.hpp): the model is inherently serial — every
-/// node may touch every other node atomically at a tick, so there is
-/// nothing to shard — but the window machinery still batches the ticks
-/// falling into each conservative window under one per-window RNG
-/// substream, and one advance() = one window (~ delta·n global ticks).
-/// Results are trivially thread-count invariant (a one-shard window is
-/// always sequential).
+/// *after* the race (memorylessness). The model is inherently serial —
+/// every node may touch every other node atomically at a tick — so the
+/// engine is a plain tick loop with exactly one pending tick (ties are
+/// impossible by construction). One advance() is one window: it opens at
+/// the pending tick t, runs every tick in the half-open [t, t + Δ) (Δ =
+/// config.window, or sim::default_window(config.lambda)), and draws all of
+/// them from the window's substream, labelled (window counter, 0) under a
+/// base split off the run generator. Those are the labels a one-shard
+/// windowed executor would use, so windows, events and draws match it;
+/// events_processed == ticks and there are never stragglers. Threads,
+/// shards and the queue kind do not apply.
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "async/config.hpp"
-#include "async/leader.hpp"
-#include "async/node.hpp"
-#include "async/simulation.hpp"
-#include "core/engine.hpp"
-#include "opinion/assignment.hpp"
-#include "opinion/census.hpp"
-#include "support/random.hpp"
-
-namespace papc::sim {
-template <typename Event>
-class WindowedExecutor;
-}  // namespace papc::sim
+#include "async/single_leader_core.hpp"
 
 namespace papc::async {
 
 /// Sequentialized single-leader protocol (no latencies).
-class SequentialSingleLeaderSimulation final : public core::Engine {
+class SequentialSingleLeaderSimulation final : public SingleLeaderCore {
 public:
     SequentialSingleLeaderSimulation(const Assignment& assignment,
                                      const AsyncConfig& config,
@@ -61,43 +48,23 @@ public:
     /// node completes its action at its tick).
     [[nodiscard]] AsyncResult run();
 
-    // core::Engine driver interface (one window of global ticks per
-    // advance).
+    /// One window of global ticks per call (driven by run()).
     bool advance() override;
-    [[nodiscard]] double now() const override { return now_; }
-    [[nodiscard]] bool converged() const override { return census_.converged(); }
-    [[nodiscard]] Opinion dominant() const override {
-        return census_.pooled_stats().dominant;
-    }
-    [[nodiscard]] double opinion_fraction(Opinion j) const override {
-        return census_.opinion_fraction(j);
-    }
-
-    [[nodiscard]] const Leader& leader() const { return *leader_; }
-    [[nodiscard]] const GenerationCensus& census() const { return census_; }
-    [[nodiscard]] const NodeState& node(NodeId v) const { return nodes_[v]; }
 
 private:
-    AsyncConfig config_;
-    /// Fault layer (built in run(); rng_ not advanced — see
-    /// async/simulation.hpp). The model is serial, so message faults draw
-    /// from one run-long serial_stream() held in fault_rng_.
-    std::unique_ptr<fault::Injector> injector_;
-    Rng fault_rng_{0};
-    bool crash_on_ = false;
-    bool msg_faults_on_ = false;
-    Rng rng_;
-    std::vector<NodeState> nodes_;
-    GenerationCensus census_;
-    std::unique_ptr<Leader> leader_;
-    /// One-shard windowed executor holding the single pending global tick
-    /// (payload unused); see the ordering-assumption note above.
-    std::unique_ptr<sim::WindowedExecutor<NodeId>> executor_;
-    Opinion plurality_ = 0;
-    bool ran_ = false;
+    /// One global tick at time t: the race winner acts atomically.
+    void tick(double t, Rng& rng);
 
-    double now_ = 0.0;
-    AsyncResult result_;
+    /// The model is serial, so message faults draw from one run-long
+    /// Injector::serial_stream() held in fault_rng_.
+    Rng fault_rng_{0};
+    bool msg_faults_on_ = false;
+    fault::FaultCounters message_faults_;
+
+    Rng window_base_{0};  ///< parent of the per-window substreams
+    double window_ = 0.0;
+    double next_tick_ = 0.0;  ///< the single pending global tick
+    std::uint64_t windows_ = 0;
 };
 
 /// Convenience wrapper on a biased-plurality workload.

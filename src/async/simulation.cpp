@@ -1,21 +1,11 @@
 #include "async/simulation.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "analysis/latency_units.hpp"
-#include "analysis/theory.hpp"
-#include "core/observer.hpp"
-#include "sim/windowed_executor.hpp"
 #include "support/check.hpp"
 
 namespace papc::async {
-
-namespace {
-/// All leader-directed signal events are owned by shard 0; the leader's
-/// mutable state is only ever touched from there.
-constexpr std::size_t kLeaderShard = 0;
-}  // namespace
 
 enum class AsyncEventKind : std::uint8_t {
     kTick,        ///< a node's Poisson clock fired
@@ -41,61 +31,11 @@ SingleLeaderSimulation::SingleLeaderSimulation(const Assignment& assignment,
 SingleLeaderSimulation::SingleLeaderSimulation(
     const Assignment& assignment, const AsyncConfig& config,
     std::unique_ptr<sim::LatencyModel> latency, std::uint64_t seed)
-    : config_(config),
-      latency_(std::move(latency)),
-      rng_(seed),
-      census_(assignment.size(), assignment.num_opinions) {
-    PAPC_CHECK(assignment.size() >= 2);
+    : SingleLeaderCore(assignment, config, seed), latency_(std::move(latency)) {
     PAPC_CHECK(latency_ != nullptr);
-
-    const std::size_t n = assignment.size();
-    nodes_.resize(n);
-    for (NodeId v = 0; v < n; ++v) {
-        nodes_[v].col = assignment.opinions[v];
-        nodes_[v].gen = 0;
-        nodes_[v].locked = false;
-        nodes_[v].seen_gen = 1;     // leader's initial public state
-        nodes_[v].seen_prop = false;
-    }
-    census_.reset(assignment.opinions);
-    plurality_ = census_.pooled_stats().dominant;
 }
 
 SingleLeaderSimulation::~SingleLeaderSimulation() = default;
-
-void SingleLeaderSimulation::record_leader_signal(double time) {
-    ++leader_signals_;
-    const auto bucket = static_cast<std::int64_t>(time);
-    if (bucket != load_bucket_) {
-        result_.leader_peak_load =
-            std::max(result_.leader_peak_load, static_cast<double>(load_count_));
-        load_bucket_ = bucket;
-        load_count_ = 0;
-    }
-    ++load_count_;
-}
-
-void SingleLeaderSimulation::begin_window() {
-    // Peer reads inside the window observe the window-start state: the
-    // owning shard is the only writer of a node, so the live array would
-    // race, and snapshot reads are also what makes the trajectory
-    // independent of shard completion order.
-    nodes_snap_ = nodes_;
-    snap_leader_gen_ = leader_->gen();
-    snap_leader_prop_ = leader_->prop();
-}
-
-void SingleLeaderSimulation::commit_window() {
-    // Census moves merge in shard order on the driving thread; counters
-    // stay in the shard scratch until the end of the run.
-    for (ShardScratch& scratch : scratch_) {
-        for (const CensusMove& move : scratch.moves) {
-            census_.transition(move.old_gen, move.old_col, move.new_gen,
-                               move.new_col);
-        }
-        scratch.moves.clear();
-    }
-}
 
 bool SingleLeaderSimulation::advance() {
     if (executor_->empty()) return false;
@@ -212,17 +152,11 @@ bool SingleLeaderSimulation::advance() {
                 }
 
                 case AsyncEventKind::kZeroSignal:
-                    record_leader_signal(t);
-                    if (injector_ == nullptr || !injector_->leader_down(t)) {
-                        leader_->on_zero_signal(t);
-                    }
+                    deliver_zero_signal(t);
                     break;
 
                 case AsyncEventKind::kGenSignal:
-                    record_leader_signal(t);
-                    if (injector_ == nullptr || !injector_->leader_down(t)) {
-                        leader_->on_gen_signal(t, ev.gen);
-                    }
+                    deliver_gen_signal(t, ev.gen);
                     break;
             }
         });
@@ -232,107 +166,19 @@ bool SingleLeaderSimulation::advance() {
 }
 
 AsyncResult SingleLeaderSimulation::run() {
-    PAPC_CHECK(!ran_);
-    ran_ = true;
-
-    const std::size_t n = nodes_.size();
-    result_.leader_generation = TimeSeries("leader-generation");
-
-    // Fault layer: splice the deprecated leader_failure_time knob into the
-    // plan as a scheduled leader crash, then build the injector from the
-    // run generator's *current* state via the pure substream — rng_ is not
-    // advanced, so the splits and draws below are byte-identical to a
-    // fault-free run when the plan is inactive.
-    fault::FaultPlan plan = config_.fault;
-    if (config_.leader_failure_time >= 0.0) {
-        plan.scheduled_crashes.push_back(
-            fault::CrashEntry{fault::kLeaderNode, config_.leader_failure_time});
-    }
-    if (plan.active()) {
-        injector_ = std::make_unique<fault::Injector>(plan, n,
-                                                      config_.max_time, rng_);
-        crash_on_ = injector_->crash_active();
-        result_.nodes_crashed = injector_->nodes_crashed();
-    }
-
-    // Measure C1 = F^{-1}(0.9) of T3 for this latency model (Monte Carlo;
+    // C1 = F^{-1}(0.9) of T3 for this latency model (Monte Carlo;
     // deterministic given the seed).
-    Rng c1_rng = rng_.split();
-    const double steps_per_unit =
-        analysis::t3_quantile_monte_carlo(*latency_, 0.9, 20000, c1_rng);
-    result_.steps_per_unit = steps_per_unit;
-
-    // Leader thresholds: C3·n 0-signals span `two_choices_units` time units
-    // (Proposition 16); the generation-size gate is ⌈fraction·n⌉.
-    LeaderConfig leader_config;
-    leader_config.zero_signal_threshold = static_cast<std::uint64_t>(std::ceil(
-        config_.two_choices_units * steps_per_unit * static_cast<double>(n)));
-    leader_config.generation_size_threshold = static_cast<std::uint64_t>(std::ceil(
-        config_.generation_size_fraction * static_cast<double>(n)));
-    leader_config.max_generation = analysis::total_generations(
-        std::max(config_.alpha_hint, 1.0 + 1e-9), census_.num_opinions(), n,
-        config_.generation_slack);
-    leader_ = std::make_unique<Leader>(leader_config);
-
-    // Windowed executor: pending events stay near 2 per node (next tick +
-    // in-flight exchange/signal).
-    sim::WindowedOptions executor_options;
-    executor_options.shards = config_.event_shards;
-    executor_options.threads = config_.threads;
-    executor_options.window = config_.window;
-    executor_options.lambda = config_.lambda;
-    executor_options.queue_kind = config_.queue_kind;
-    executor_options.reserve_hint = 2 * n;
-    executor_options.injector = injector_.get();
-    executor_ = std::make_unique<sim::WindowedExecutor<AsyncEvent>>(
-        n, executor_options, rng_.split());
-    scratch_.resize(executor_->num_shards());
-
-    // Initial ticks.
-    for (NodeId v = 0; v < n; ++v) {
+    start([this] {
+        Rng c1_rng = rng_.split();
+        return analysis::t3_quantile_monte_carlo(*latency_, 0.9, 20000, c1_rng);
+    });
+    executor_ = make_executor<AsyncEvent>();
+    for (NodeId v = 0; v < population(); ++v) {
         executor_->seed(executor_->shard_of(v), rng_.exponential(1.0),
                         AsyncEvent{AsyncEventKind::kTick, v, 0, 0, 0});
     }
-
-    core::EngineOptions run_options;
-    run_options.max_time = config_.max_time;
-    run_options.sample_interval = config_.sample_interval;
-    run_options.record = config_.record_series;
-    run_options.plurality = plurality_;
-    run_options.epsilon = config_.epsilon;
-    core::FunctionObserver observer([this](double time, double) {
-        if (config_.record_series) {
-            result_.leader_generation.record(
-                time, static_cast<double>(leader_->gen()));
-        }
-    });
-    static_cast<core::RunResult&>(result_) =
-        core::run(*this, run_options, &observer);
-
-    for (const ShardScratch& scratch : scratch_) {
-        result_.ticks += scratch.ticks;
-        result_.good_ticks += scratch.good_ticks;
-        result_.exchanges += scratch.exchanges;
-        result_.two_choices_count += scratch.two_choices;
-        result_.propagation_count += scratch.propagation;
-        result_.refresh_count += scratch.refresh;
-        result_.channels_opened += scratch.channels_opened;
-        result_.faults.crash_skips += scratch.crash_skips;
-    }
-    const fault::FaultCounters& mf = executor_->fault_counters();
-    result_.faults.lost = mf.lost;
-    result_.faults.duplicated = mf.duplicated;
-    result_.faults.corrupted = mf.corrupted;
-    result_.faults.delayed = mf.delayed;
-    result_.signals_delivered = leader_signals_;
-    result_.leader_peak_load =
-        std::max(result_.leader_peak_load, static_cast<double>(load_count_));
-    result_.events_processed = executor_->events_processed();
-    result_.windows = executor_->windows_run();
-    result_.window_stragglers = executor_->stragglers();
-    result_.final_top_generation = census_.highest_populated();
-    result_.leader_trace = leader_->trace();
-    return std::move(result_);
+    drive();
+    return finish(*executor_);
 }
 
 AsyncResult run_single_leader(std::size_t n, std::uint32_t k, double alpha,

@@ -25,68 +25,17 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
-#include "async/config.hpp"
-#include "async/leader.hpp"
-#include "async/node.hpp"
-#include "core/engine.hpp"
-#include "core/run_result.hpp"
-#include "fault/injector.hpp"
-#include "opinion/assignment.hpp"
-#include "opinion/census.hpp"
+#include "async/single_leader_core.hpp"
 #include "sim/latency.hpp"
-#include "support/random.hpp"
-#include "support/timeseries.hpp"
-
-namespace papc::sim {
-template <typename Event>
-class WindowedExecutor;
-}  // namespace papc::sim
 
 namespace papc::async {
-
-/// Aggregate outcome of one simulation run. The unified convergence
-/// semantics (converged / winner / plurality_won / epsilon_time /
-/// consensus_time / end_time / steps / plurality_fraction) live in the
-/// core::RunResult base; the fields below are single-leader accounting.
-/// NOTE: since PR 6 RunResult::steps counts executor *windows*, not
-/// events — use events_processed for event throughput.
-struct AsyncResult : core::RunResult {
-    std::uint64_t ticks = 0;              ///< Poisson ticks processed
-    std::uint64_t good_ticks = 0;         ///< ticks that started an exchange
-    std::uint64_t exchanges = 0;          ///< completed exchanges
-    std::uint64_t two_choices_count = 0;  ///< two-choices promotions
-    std::uint64_t propagation_count = 0;  ///< propagation promotions
-    std::uint64_t refresh_count = 0;      ///< leader-state refreshes
-
-    Generation final_top_generation = 0;
-    double steps_per_unit = 0.0;  ///< measured C1 used for thresholds
-
-    // §4.5-style complexity accounting.
-    std::uint64_t channels_opened = 0;    ///< channel establishments
-    std::uint64_t signals_delivered = 0;  ///< 0- and i-signals at the leader
-    double leader_peak_load = 0.0;        ///< max leader signals in one step
-
-    // Windowed-executor accounting (PR 6).
-    std::uint64_t events_processed = 0;   ///< total events across shards
-    std::uint64_t windows = 0;            ///< conservative windows executed
-    std::uint64_t window_stragglers = 0;  ///< cross-shard sends behind a
-                                          ///< closed window
-
-    // Fault-injection accounting (all zero without an active plan).
-    fault::FaultCounters faults;
-    std::uint64_t nodes_crashed = 0;  ///< nodes with a crash in the horizon
-
-    std::vector<LeaderTransition> leader_trace;
-    TimeSeries leader_generation;   ///< leader gen over time
-};
 
 /// One event of the single-leader simulation (defined in the .cpp).
 struct AsyncEvent;
 
 /// Single-leader asynchronous simulation.
-class SingleLeaderSimulation final : public core::Engine {
+class SingleLeaderSimulation final : public SingleLeaderCore {
 public:
     /// Uses Exponential(config.lambda) latencies.
     SingleLeaderSimulation(const Assignment& assignment, const AsyncConfig& config,
@@ -104,80 +53,12 @@ public:
     /// Runs to full consensus (or config.max_time) and returns the result.
     [[nodiscard]] AsyncResult run();
 
-    // core::Engine driver interface (used by run(); one *window* of events
-    // per advance).
+    /// One window of events per call (driven by run()).
     bool advance() override;
-    [[nodiscard]] double now() const override { return now_; }
-    [[nodiscard]] bool converged() const override { return census_.converged(); }
-    [[nodiscard]] Opinion dominant() const override {
-        return census_.pooled_stats().dominant;
-    }
-    [[nodiscard]] double opinion_fraction(Opinion j) const override {
-        return census_.opinion_fraction(j);
-    }
-
-    /// Observers, valid after run().
-    [[nodiscard]] const Leader& leader() const { return *leader_; }
-    [[nodiscard]] const GenerationCensus& census() const { return census_; }
-    [[nodiscard]] const NodeState& node(NodeId v) const { return nodes_[v]; }
-    [[nodiscard]] std::size_t population() const { return nodes_.size(); }
 
 private:
-    /// One old-gen/old-col -> new-gen/new-col move, recorded shard-locally
-    /// during a window and applied to the census at the barrier.
-    struct CensusMove {
-        Generation old_gen;
-        Opinion old_col;
-        Generation new_gen;
-        Opinion new_col;
-    };
-
-    /// Shard-owned accumulation: event counters for the whole run plus the
-    /// census moves of the current window. Cache-line aligned so
-    /// neighbouring shards never contend.
-    struct alignas(64) ShardScratch {
-        std::uint64_t ticks = 0;
-        std::uint64_t good_ticks = 0;
-        std::uint64_t exchanges = 0;
-        std::uint64_t two_choices = 0;
-        std::uint64_t propagation = 0;
-        std::uint64_t refresh = 0;
-        std::uint64_t channels_opened = 0;
-        std::uint64_t crash_skips = 0;  ///< ticks/exchanges of down nodes
-        std::vector<CensusMove> moves;
-    };
-
-    void begin_window();
-    void commit_window();
-    void record_leader_signal(double time);
-
-    AsyncConfig config_;
     std::unique_ptr<sim::LatencyModel> latency_;
-    /// Built in run() from config_.fault (+ the leader_failure_time shim)
-    /// via the pure Rng::substream, so attaching it never shifts the tape.
-    std::unique_ptr<fault::Injector> injector_;
-    bool crash_on_ = false;  ///< injector_ has node-crash faults
-    Rng rng_;
-    std::vector<NodeState> nodes_;
-    std::vector<NodeState> nodes_snap_;  ///< window-start copy (peer reads)
-    GenerationCensus census_;
-    std::unique_ptr<Leader> leader_;
     std::unique_ptr<sim::WindowedExecutor<AsyncEvent>> executor_;
-    std::vector<ShardScratch> scratch_;
-    Opinion plurality_ = 0;
-    bool ran_ = false;
-
-    // Window-start snapshot of the leader's public state (exchange reads).
-    Generation snap_leader_gen_ = 1;
-    bool snap_leader_prop_ = false;
-
-    double now_ = 0.0;
-    AsyncResult result_;
-    // Leader-shard-owned accounting (only the shard that owns the leader's
-    // signal events ever touches these during a window).
-    std::int64_t load_bucket_ = -1;    ///< leader congestion window (§4.5)
-    std::uint64_t load_count_ = 0;
-    std::uint64_t leader_signals_ = 0;
 };
 
 /// Convenience: builds a biased-plurality workload and runs one simulation.

@@ -1,19 +1,11 @@
 #include "async/validated_simulation.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "analysis/latency_units.hpp"
-#include "analysis/theory.hpp"
-#include "core/observer.hpp"
-#include "sim/windowed_executor.hpp"
 #include "support/check.hpp"
 
 namespace papc::async {
-
-namespace {
-constexpr std::size_t kLeaderShard = 0;
-}  // namespace
 
 enum class ValidatedEventKind : std::uint8_t {
     kTick,
@@ -40,43 +32,13 @@ ValidatedSingleLeaderSimulation::ValidatedSingleLeaderSimulation(
     const Assignment& assignment, const AsyncConfig& config,
     std::unique_ptr<sim::LatencyModel> channel,
     std::unique_ptr<sim::LatencyModel> message, std::uint64_t seed)
-    : config_(config),
+    : SingleLeaderCore(assignment, config, seed),
       channel_(std::move(channel)),
-      message_(std::move(message)),
-      rng_(seed),
-      census_(assignment.size(), assignment.num_opinions) {
-    PAPC_CHECK(assignment.size() >= 2);
+      message_(std::move(message)) {
     PAPC_CHECK(channel_ != nullptr && message_ != nullptr);
-    const std::size_t n = assignment.size();
-    nodes_.resize(n);
-    for (NodeId v = 0; v < n; ++v) {
-        nodes_[v].col = assignment.opinions[v];
-        nodes_[v].gen = 0;
-        nodes_[v].locked = false;
-        nodes_[v].seen_gen = 1;
-        nodes_[v].seen_prop = false;
-    }
-    census_.reset(assignment.opinions);
-    plurality_ = census_.pooled_stats().dominant;
 }
 
 ValidatedSingleLeaderSimulation::~ValidatedSingleLeaderSimulation() = default;
-
-void ValidatedSingleLeaderSimulation::begin_window() {
-    nodes_snap_ = nodes_;
-    snap_leader_gen_ = leader_->gen();
-    snap_leader_prop_ = leader_->prop();
-}
-
-void ValidatedSingleLeaderSimulation::commit_window() {
-    for (ShardScratch& scratch : scratch_) {
-        for (const CensusMove& move : scratch.moves) {
-            census_.transition(move.old_gen, move.old_col, move.new_gen,
-                               move.new_col);
-        }
-        scratch.moves.clear();
-    }
-}
 
 bool ValidatedSingleLeaderSimulation::advance() {
     if (executor_->empty()) return false;
@@ -231,15 +193,11 @@ bool ValidatedSingleLeaderSimulation::advance() {
                 }
 
                 case ValidatedEventKind::kZeroSignal:
-                    if (injector_ == nullptr || !injector_->leader_down(t)) {
-                        leader_->on_zero_signal(t);
-                    }
+                    if (leader_up(t)) leader_->on_zero_signal(t);
                     break;
 
                 case ValidatedEventKind::kGenSignal:
-                    if (injector_ == nullptr || !injector_->leader_down(t)) {
-                        leader_->on_gen_signal(t, ev.gen);
-                    }
+                    if (leader_up(t)) leader_->on_gen_signal(t, ev.gen);
                     break;
             }
         });
@@ -249,105 +207,35 @@ bool ValidatedSingleLeaderSimulation::advance() {
 }
 
 ValidatedResult ValidatedSingleLeaderSimulation::run() {
-    PAPC_CHECK(!ran_);
-    ran_ = true;
-
-    const std::size_t n = nodes_.size();
-    result_.base.leader_generation = TimeSeries("leader-generation");
-
-    // Fault layer (see async/simulation.cpp): leader_failure_time splices
-    // into the plan; the injector derives via the pure substream.
-    fault::FaultPlan plan = config_.fault;
-    if (config_.leader_failure_time >= 0.0) {
-        plan.scheduled_crashes.push_back(
-            fault::CrashEntry{fault::kLeaderNode, config_.leader_failure_time});
-    }
-    if (plan.active()) {
-        injector_ = std::make_unique<fault::Injector>(plan, n,
-                                                      config_.max_time, rng_);
-        crash_on_ = injector_->crash_active();
-        result_.base.nodes_crashed = injector_->nodes_crashed();
-    }
-
     // One full cycle now includes two message round-trips and the
     // validation channel; measure C1 for this composition (Monte Carlo;
     // deterministic given the seed).
-    Rng c1_rng = rng_.split();
-    const double steps_per_unit = analysis::validated_cycle_quantile_monte_carlo(
-        *channel_, *message_, 0.9, 20000, c1_rng);
-    result_.base.steps_per_unit = steps_per_unit;
-
-    LeaderConfig leader_config;
-    leader_config.zero_signal_threshold = static_cast<std::uint64_t>(std::ceil(
-        config_.two_choices_units * steps_per_unit * static_cast<double>(n)));
-    leader_config.generation_size_threshold = static_cast<std::uint64_t>(std::ceil(
-        config_.generation_size_fraction * static_cast<double>(n)));
-    leader_config.max_generation = analysis::total_generations(
-        std::max(config_.alpha_hint, 1.0 + 1e-9), census_.num_opinions(), n,
-        config_.generation_slack);
-    leader_ = std::make_unique<Leader>(leader_config);
-
-    sim::WindowedOptions executor_options;
-    executor_options.shards = config_.event_shards;
-    executor_options.threads = config_.threads;
-    executor_options.window = config_.window;
-    executor_options.lambda = config_.lambda;
-    executor_options.queue_kind = config_.queue_kind;
-    executor_options.reserve_hint = 2 * n;
-    executor_options.injector = injector_.get();
-    executor_ = std::make_unique<sim::WindowedExecutor<ValidatedEvent>>(
-        n, executor_options, rng_.split());
-    scratch_.resize(executor_->num_shards());
-
-    for (NodeId v = 0; v < n; ++v) {
+    start([this] {
+        Rng c1_rng = rng_.split();
+        return analysis::validated_cycle_quantile_monte_carlo(
+            *channel_, *message_, 0.9, 20000, c1_rng);
+    });
+    executor_ = make_executor<ValidatedEvent>();
+    for (NodeId v = 0; v < population(); ++v) {
         ValidatedEvent tick;
         tick.kind = ValidatedEventKind::kTick;
         tick.node = v;
         executor_->seed(executor_->shard_of(v), rng_.exponential(1.0), tick);
     }
+    drive();
 
-    core::EngineOptions run_options;
-    run_options.max_time = config_.max_time;
-    run_options.sample_interval = config_.sample_interval;
-    run_options.record = config_.record_series;
-    run_options.plurality = plurality_;
-    run_options.epsilon = config_.epsilon;
-    core::FunctionObserver observer([this](double time, double) {
-        if (config_.record_series) {
-            result_.base.leader_generation.record(
-                time, static_cast<double>(leader_->gen()));
-        }
-    });
-    static_cast<core::RunResult&>(result_.base) =
-        core::run(*this, run_options, &observer);
-
+    ValidatedResult result;
     for (const ShardScratch& scratch : scratch_) {
-        result_.base.ticks += scratch.ticks;
-        result_.base.good_ticks += scratch.good_ticks;
-        result_.base.exchanges += scratch.exchanges;
-        result_.base.two_choices_count += scratch.two_choices;
-        result_.base.propagation_count += scratch.propagation;
-        result_.base.refresh_count += scratch.refresh;
-        result_.commits += scratch.commits;
-        result_.aborts += scratch.aborts;
-        result_.base.faults.crash_skips += scratch.crash_skips;
+        result.commits += scratch.commits;
+        result.aborts += scratch.aborts;
     }
-    const fault::FaultCounters& mf = executor_->fault_counters();
-    result_.base.faults.lost = mf.lost;
-    result_.base.faults.duplicated = mf.duplicated;
-    result_.base.faults.corrupted = mf.corrupted;
-    result_.base.faults.delayed = mf.delayed;
-    result_.base.events_processed = executor_->events_processed();
-    result_.base.windows = executor_->windows_run();
-    result_.base.window_stragglers = executor_->stragglers();
-    result_.base.final_top_generation = census_.highest_populated();
-    result_.base.leader_trace = leader_->trace();
-    const std::uint64_t attempts = result_.commits + result_.aborts;
-    result_.abort_rate =
+    result.base = finish(*executor_);
+    const std::uint64_t attempts = result.commits + result.aborts;
+    result.abort_rate =
         attempts == 0 ? 0.0
-                      : static_cast<double>(result_.aborts) /
+                      : static_cast<double>(result.aborts) /
                             static_cast<double>(attempts);
-    return std::move(result_);
+    return result;
 }
 
 ValidatedResult run_validated_single_leader(std::size_t n, std::uint32_t k,

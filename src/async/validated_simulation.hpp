@@ -36,22 +36,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
-#include "async/config.hpp"
-#include "async/leader.hpp"
-#include "async/node.hpp"
-#include "async/simulation.hpp"
-#include "core/engine.hpp"
-#include "opinion/assignment.hpp"
-#include "opinion/census.hpp"
+#include "async/single_leader_core.hpp"
 #include "sim/latency.hpp"
-#include "support/random.hpp"
-
-namespace papc::sim {
-template <typename Event>
-class WindowedExecutor;
-}  // namespace papc::sim
 
 namespace papc::async {
 
@@ -68,7 +55,7 @@ struct ValidatedEvent;
 
 /// Single-leader protocol under channel latencies T2 *and* per-message
 /// latencies T4, with leader-validated commits (§5).
-class ValidatedSingleLeaderSimulation final : public core::Engine {
+class ValidatedSingleLeaderSimulation final : public SingleLeaderCore {
 public:
     /// `channel` models T2 (establishment), `message` models T4 (one
     /// message over an established channel). Both are owned.
@@ -82,67 +69,13 @@ public:
 
     [[nodiscard]] ValidatedResult run();
 
-    // core::Engine driver interface (one window of events per advance).
+    /// One window of events per call (driven by run()).
     bool advance() override;
-    [[nodiscard]] double now() const override { return now_; }
-    [[nodiscard]] bool converged() const override { return census_.converged(); }
-    [[nodiscard]] Opinion dominant() const override {
-        return census_.pooled_stats().dominant;
-    }
-    [[nodiscard]] double opinion_fraction(Opinion j) const override {
-        return census_.opinion_fraction(j);
-    }
-
-    [[nodiscard]] const Leader& leader() const { return *leader_; }
-    [[nodiscard]] const GenerationCensus& census() const { return census_; }
-    [[nodiscard]] const NodeState& node(NodeId v) const { return nodes_[v]; }
 
 private:
-    struct CensusMove {
-        Generation old_gen;
-        Opinion old_col;
-        Generation new_gen;
-        Opinion new_col;
-    };
-
-    struct alignas(64) ShardScratch {
-        std::uint64_t ticks = 0;
-        std::uint64_t good_ticks = 0;
-        std::uint64_t exchanges = 0;
-        std::uint64_t two_choices = 0;
-        std::uint64_t propagation = 0;
-        std::uint64_t refresh = 0;
-        std::uint64_t commits = 0;
-        std::uint64_t aborts = 0;
-        std::uint64_t crash_skips = 0;
-        std::vector<CensusMove> moves;
-    };
-
-    void begin_window();
-    void commit_window();
-
-    AsyncConfig config_;
     std::unique_ptr<sim::LatencyModel> channel_;
     std::unique_ptr<sim::LatencyModel> message_;
-    /// Fault layer (built in run(); rng_ not advanced — see
-    /// async/simulation.hpp).
-    std::unique_ptr<fault::Injector> injector_;
-    bool crash_on_ = false;
-    Rng rng_;
-    std::vector<NodeState> nodes_;
-    std::vector<NodeState> nodes_snap_;  ///< window-start copy (peer reads)
-    GenerationCensus census_;
-    std::unique_ptr<Leader> leader_;
     std::unique_ptr<sim::WindowedExecutor<ValidatedEvent>> executor_;
-    std::vector<ShardScratch> scratch_;
-    Opinion plurality_ = 0;
-    bool ran_ = false;
-
-    Generation snap_leader_gen_ = 1;
-    bool snap_leader_prop_ = false;
-
-    double now_ = 0.0;
-    ValidatedResult result_;
 };
 
 /// Convenience wrapper: biased-plurality workload, Exponential(λ) channels

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "async/simulation.hpp"
+
 namespace papc::async {
 namespace {
 

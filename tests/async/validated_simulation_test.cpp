@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "async/simulation.hpp"
 #include "opinion/assignment.hpp"
 
 namespace papc::async {

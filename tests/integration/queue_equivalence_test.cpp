@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "async/sequential_simulation.hpp"
 #include "async/simulation.hpp"
 #include "async/validated_simulation.hpp"
 #include "cluster/broadcast.hpp"
@@ -71,28 +70,6 @@ TEST(QueueEquivalence, ValidatedSingleLeaderIdenticalRuns) {
         EXPECT_EQ(heap.base.winner, other.base.winner);
         EXPECT_DOUBLE_EQ(heap.base.consensus_time, other.base.consensus_time);
         EXPECT_DOUBLE_EQ(heap.base.end_time, other.base.end_time);
-    }
-}
-
-TEST(QueueEquivalence, SequentialSingleLeaderIdenticalRuns) {
-    async::AsyncConfig heap_cfg = async_config(sim::QueueKind::kBinaryHeap);
-    heap_cfg.max_time = 200.0;
-    const async::AsyncResult heap =
-        async::run_sequential_single_leader(700, 3, 2.0, heap_cfg, 11);
-    for (const sim::QueueKind kind :
-         {sim::QueueKind::kCalendar, sim::QueueKind::kLadder}) {
-        async::AsyncConfig other_cfg = async_config(kind);
-        other_cfg.max_time = 200.0;
-        const async::AsyncResult other =
-            async::run_sequential_single_leader(700, 3, 2.0, other_cfg, 11);
-
-        EXPECT_EQ(heap.ticks, other.ticks);
-        EXPECT_EQ(heap.exchanges, other.exchanges);
-        EXPECT_EQ(heap.steps, other.steps);
-        EXPECT_EQ(heap.events_processed, other.events_processed);
-        EXPECT_EQ(heap.winner, other.winner);
-        EXPECT_DOUBLE_EQ(heap.consensus_time, other.consensus_time);
-        EXPECT_DOUBLE_EQ(heap.end_time, other.end_time);
     }
 }
 

@@ -402,6 +402,7 @@ D6_SANCTIONED = (
     "src/fault/",
     "src/sim/windowed_executor.hpp",
     "src/async/config.hpp",
+    "src/async/single_leader_core.hpp", "src/async/single_leader_core.cpp",
     "src/async/simulation.hpp", "src/async/simulation.cpp",
     "src/async/sequential_simulation.hpp",
     "src/async/sequential_simulation.cpp",
