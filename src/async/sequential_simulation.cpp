@@ -41,10 +41,7 @@ void SequentialSingleLeaderSimulation::tick(double t, Rng& rng) {
             zero_copies = 2;
         }
     }
-    for (; zero_copies > 0; --zero_copies) {
-        ++result_.signals_delivered;
-        if (leader_up(t)) leader_->on_zero_signal(t);
-    }
+    for (; zero_copies > 0; --zero_copies) deliver_zero_signal(t);
 
     // Lines 3-15 execute atomically at the tick.
     ++scratch.exchanges;
@@ -97,10 +94,7 @@ void SequentialSingleLeaderSimulation::tick(double t, Rng& rng) {
             }
         }
     }
-    for (; copies > 0; --copies) {
-        ++result_.signals_delivered;
-        if (leader_up(t)) leader_->on_gen_signal(t, sig_gen);
-    }
+    for (; copies > 0; --copies) deliver_gen_signal(t, sig_gen);
 }
 
 bool SequentialSingleLeaderSimulation::advance() {

@@ -77,6 +77,7 @@ bool ValidatedSingleLeaderSimulation::advance() {
                     if (!v.locked) {
                         v.locked = true;
                         ++scratch.good_ticks;
+                        scratch.channels_opened += 3;
                         const double establish =
                             std::max(channel_->sample(rng),
                                      channel_->sample(rng)) +
@@ -124,7 +125,8 @@ bool ValidatedSingleLeaderSimulation::advance() {
                         case ExchangeDecision::Kind::kTwoChoices:
                         case ExchangeDecision::Kind::kPropagation: {
                             // Two-phase commit: validate against the leader
-                            // before applying (§5).
+                            // over a fresh channel before applying (§5).
+                            ++scratch.channels_opened;
                             ValidatedEvent val;
                             val.kind = ValidatedEventKind::kValidate;
                             val.node = ev.node;
@@ -193,11 +195,11 @@ bool ValidatedSingleLeaderSimulation::advance() {
                 }
 
                 case ValidatedEventKind::kZeroSignal:
-                    if (leader_up(t)) leader_->on_zero_signal(t);
+                    deliver_zero_signal(t);
                     break;
 
                 case ValidatedEventKind::kGenSignal:
-                    if (leader_up(t)) leader_->on_gen_signal(t, ev.gen);
+                    deliver_gen_signal(t, ev.gen);
                     break;
             }
         });

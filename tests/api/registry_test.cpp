@@ -119,11 +119,11 @@ const std::map<std::string, Golden>& golden_hashes() {
         {"pp-4-state", {0x1b6d5036cf9e1cd5ULL, 0xf95702ca19239663ULL}},
         {"pp-undecided", {0x74fe33b573d8c1d5ULL, 0x84845076bf80d197ULL}},
         {"pull", {0xdf7a38b4d8cb12a7ULL, 0x1109ede7a7beb039ULL}},
-        {"sequential", {0x7065558bb865fc34ULL, 0x8d78e51b39e2e423ULL}},
+        {"sequential", {0x3249f7e16b6054c9ULL, 0xb5ce4fd09bc0dff8ULL}},
         {"sync", {0xd1c2632dec297e94ULL, 0x5805401f50a8d2b6ULL}},
         {"two-choices", {0x6845813127a2679fULL, 0x1700b0ca9c891d9bULL}},
         {"undecided", {0x459f67ff485022c4ULL, 0x757569127720a9ebULL}},
-        {"validated", {0x862602e1164f2ff9ULL, 0x6c147cd061e3f68eULL}},
+        {"validated", {0x2b9a67421eefd7ecULL, 0x3804c231fec33267ULL}},
     };
     return hashes;
 }

@@ -2,7 +2,9 @@
 
 #include <cmath>
 
+#include "async/sequential_simulation.hpp"
 #include "async/simulation.hpp"
+#include "async/validated_simulation.hpp"
 #include "opinion/assignment.hpp"
 #include "sync/algorithm1.hpp"
 #include "sync/engine.hpp"
@@ -128,6 +130,28 @@ TEST(Invariants, AsyncExchangeAccounting) {
     // promotions + refreshes cannot exceed total exchanges.
     EXPECT_LE(r.two_choices_count + r.propagation_count + r.refresh_count,
               r.exchanges);
+}
+
+TEST(Invariants, EverySingleLeaderEngineAccountsLeaderSignals) {
+    // Fault-free: every tick sends a 0-signal, so each engine must report
+    // delivered signals and a leader load peak. Validated opens the three
+    // exchange channels at every good tick plus one per validation round.
+    async::AsyncConfig c;
+    c.alpha_hint = 2.0;
+    c.max_time = 200.0;
+    c.record_series = false;
+    const async::AsyncResult plain = async::run_single_leader(400, 3, 2.0, c, 19);
+    const async::AsyncResult sequential =
+        async::run_sequential_single_leader(400, 3, 2.0, c, 19);
+    const async::ValidatedResult validated =
+        async::run_validated_single_leader(400, 3, 2.0, c, 2.0, 19);
+    for (const async::AsyncResult* r : {&plain, &sequential, &validated.base}) {
+        EXPECT_GT(r->signals_delivered, 0U);
+        EXPECT_GT(r->leader_peak_load, 0.0);
+    }
+    EXPECT_GE(validated.base.channels_opened, 3 * validated.base.good_ticks);
+    EXPECT_GT(validated.base.good_ticks, 0U);
+    EXPECT_EQ(sequential.channels_opened, 0U);
 }
 
 }  // namespace
