@@ -61,21 +61,25 @@ struct AsyncConfig {
     /// of the trajectory identity.
     fault::FaultPlan fault;
 
+    // Windowed-executor knobs. The async and validated engines read all
+    // four; the sequential engine is a plain tick loop and reads only
+    // `window` (and `lambda` for its auto width).
+
     /// Scheduler-queue implementation behind each shard of the windowed
     /// event executor. All kinds pop in identical (time, seq) order
     /// (pinned by the equivalence tests), so for a fixed seed this knob
-    /// changes throughput only, never results. Prefer kCalendar or
-    /// kLadder for n >> 2^16 pending events.
+    /// changes throughput only, never results. kLadder is the fastest at
+    /// every measured size (ladder <= calendar <= heap from 2^10 to 2^22
+    /// pending events); the heap stays the default reference.
     sim::QueueKind queue_kind = sim::QueueKind::kBinaryHeap;
 
     /// Worker threads of the windowed executor. Results are bit-identical
-    /// at every thread count (the PR 5 contract, extended to events);
-    /// only throughput changes.
+    /// at every thread count; only throughput changes.
     std::size_t threads = 1;
 
-    /// Conservative window width delta of the windowed executor, in time
-    /// units. <= 0 derives sim::default_window(lambda). Part of the
-    /// trajectory: two runs only reproduce each other with equal windows.
+    /// Conservative window width delta, in time units. <= 0 derives
+    /// sim::default_window(lambda). Part of the trajectory: two runs only
+    /// reproduce each other with equal windows.
     double window = 0.0;
 
     /// Shard count of the windowed executor (0 = default). Like `window`,

@@ -75,8 +75,6 @@ struct AsyncResult : core::RunResult {
 
 class SingleLeaderCore : public core::Engine {
 public:
-    SingleLeaderCore(const SingleLeaderCore&) = delete;
-    SingleLeaderCore& operator=(const SingleLeaderCore&) = delete;
     ~SingleLeaderCore() override;
 
     // core::Engine (advance() is each engine's: one window per call).

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+
 #include "async/simulation.hpp"
+#include "sim/windowed_executor.hpp"
 
 namespace papc::async {
 namespace {
@@ -80,6 +84,36 @@ TEST(SequentialSimulation, NodeGenerationsBounded) {
     for (NodeId v = 0; v < 1200; ++v) {
         EXPECT_LE(sim.node(v).gen, sim.leader().gen());
     }
+}
+
+TEST(SequentialSimulation, WindowKnobSetsTheTickLoopWindows) {
+    // The tick loop reads `window`, falling back to default_window(lambda):
+    // spelling the default out is the same run, another width is not.
+    std::map<double, std::uint64_t> windows;
+    for (const double lambda : {0.5, 1.0, 4.0}) {
+        AsyncConfig automatic = fast_config();
+        automatic.lambda = lambda;
+        AsyncConfig explicit_window = automatic;
+        explicit_window.window = sim::default_window(lambda);
+        const AsyncResult a = run_sequential_single_leader(800, 3, 2.0, automatic, 8);
+        const AsyncResult b =
+            run_sequential_single_leader(800, 3, 2.0, explicit_window, 8);
+        EXPECT_EQ(a.windows, b.windows) << lambda;
+        EXPECT_EQ(a.ticks, b.ticks) << lambda;
+        EXPECT_EQ(a.two_choices_count, b.two_choices_count) << lambda;
+        EXPECT_DOUBLE_EQ(a.consensus_time, b.consensus_time) << lambda;
+        EXPECT_EQ(a.events_processed, a.ticks);
+        EXPECT_EQ(a.window_stragglers, 0U);
+        windows[lambda] = a.windows;
+    }
+    // Faster channels shrink the auto window (0.25 -> 0.0625).
+    EXPECT_GT(windows[4.0], 2 * windows[1.0]);
+    AsyncConfig wide = fast_config();
+    wide.window = 0.5;
+    const AsyncResult base = run_sequential_single_leader(800, 3, 2.0, fast_config(), 8);
+    const AsyncResult other = run_sequential_single_leader(800, 3, 2.0, wide, 8);
+    EXPECT_LT(other.windows, base.windows);
+    EXPECT_NE(other.consensus_time, base.consensus_time);
 }
 
 }  // namespace
