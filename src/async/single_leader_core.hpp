@@ -15,8 +15,8 @@
 ///   drive();                       // core::run with the config budgets
 ///   return finish(*executor);      // counter fold, trace, top generation
 ///
-/// The hot-path helpers (record_leader_signal, deliver_*_signal) are
-/// inline and non-virtual, so handlers compile as before.
+/// The hot-path helpers (deliver_*_signal) are inline and non-virtual, so
+/// handlers pay no call overhead for them.
 
 #include <algorithm>
 #include <cstdint>
@@ -186,26 +186,9 @@ protected:
                       executor.stragglers(), executor.fault_counters());
     }
 
-    [[nodiscard]] bool leader_up(double time) const {
-        return injector_ == nullptr || !injector_->leader_down(time);
-    }
-
-    /// Leader congestion accounting (§4.5): one signal arriving at `time`.
-    /// Only the leader's shard calls this during a window.
-    void record_leader_signal(double time) {
-        ++result_.signals_delivered;
-        const auto bucket = static_cast<std::int64_t>(time);
-        if (bucket != load_bucket_) {
-            result_.leader_peak_load =
-                std::max(result_.leader_peak_load, static_cast<double>(load_count_));
-            load_bucket_ = bucket;
-            load_count_ = 0;
-        }
-        ++load_count_;
-    }
-
     /// A 0-signal / i-signal reaches the leader at `time`: it counts as
-    /// delivered, and a leader that is up acts on it (Algorithm 3).
+    /// delivered, and a leader that is up acts on it (Algorithm 3). Only
+    /// the leader's shard calls these during a window.
     void deliver_zero_signal(double time) {
         record_leader_signal(time);
         if (leader_up(time)) leader_->on_zero_signal(time);
@@ -236,6 +219,23 @@ protected:
 private:
     void attach_faults();
     void open_leader(double steps_per_unit);
+
+    [[nodiscard]] bool leader_up(double time) const {
+        return injector_ == nullptr || !injector_->leader_down(time);
+    }
+
+    /// Leader congestion accounting (§4.5): one signal arriving at `time`.
+    void record_leader_signal(double time) {
+        ++result_.signals_delivered;
+        const auto bucket = static_cast<std::int64_t>(time);
+        if (bucket != load_bucket_) {
+            result_.leader_peak_load =
+                std::max(result_.leader_peak_load, static_cast<double>(load_count_));
+            load_bucket_ = bucket;
+            load_count_ = 0;
+        }
+        ++load_count_;
+    }
 
     Opinion plurality_ = 0;
     bool started_ = false;

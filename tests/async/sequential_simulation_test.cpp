@@ -110,7 +110,8 @@ TEST(SequentialSimulation, WindowKnobSetsTheTickLoopWindows) {
     EXPECT_GT(windows[4.0], 2 * windows[1.0]);
     AsyncConfig wide = fast_config();
     wide.window = 0.5;
-    const AsyncResult base = run_sequential_single_leader(800, 3, 2.0, fast_config(), 8);
+    const AsyncResult base =
+        run_sequential_single_leader(800, 3, 2.0, fast_config(), 8);
     const AsyncResult other = run_sequential_single_leader(800, 3, 2.0, wide, 8);
     EXPECT_LT(other.windows, base.windows);
     EXPECT_NE(other.consensus_time, base.consensus_time);
