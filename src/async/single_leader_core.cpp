@@ -112,8 +112,8 @@ AsyncResult SingleLeaderCore::finish(std::uint64_t events, std::uint64_t windows
     result_.faults.duplicated = message_faults.duplicated;
     result_.faults.corrupted = message_faults.corrupted;
     result_.faults.delayed = message_faults.delayed;
-    result_.leader_peak_load =
-        std::max(result_.leader_peak_load, static_cast<double>(load_count_));
+    result_.signals_delivered = load_.signals;
+    result_.leader_peak_load = static_cast<double>(std::max(load_.peak, load_.count));
     result_.events_processed = events;
     result_.windows = windows;
     result_.window_stragglers = stragglers;

@@ -226,23 +226,26 @@ private:
 
     /// Leader congestion accounting (§4.5): one signal arriving at `time`.
     void record_leader_signal(double time) {
-        ++result_.signals_delivered;
+        ++load_.signals;
         const auto bucket = static_cast<std::int64_t>(time);
-        if (bucket != load_bucket_) {
-            result_.leader_peak_load =
-                std::max(result_.leader_peak_load, static_cast<double>(load_count_));
-            load_bucket_ = bucket;
-            load_count_ = 0;
+        if (bucket != load_.bucket) {
+            load_.peak = std::max(load_.peak, load_.count);
+            load_.bucket = bucket;
+            load_.count = 0;
         }
-        ++load_count_;
+        ++load_.count;
     }
 
     Opinion plurality_ = 0;
     bool started_ = false;
-    // Leader-shard-owned accounting (only the shard that owns the leader's
-    // signal events ever touches these during a window).
-    std::int64_t load_bucket_ = -1;    ///< leader congestion window (§4.5)
-    std::uint64_t load_count_ = 0;
+    /// Written by the leader's shard on every signal while the other
+    /// shards read the engine's fields, so it gets its own cache line.
+    struct alignas(64) LeaderLoad {
+        std::uint64_t signals = 0;
+        std::int64_t bucket = -1;  ///< current congestion window (time step)
+        std::uint64_t count = 0;   ///< signals in the current window
+        std::uint64_t peak = 0;    ///< max signals in one closed window
+    } load_;
 };
 
 }  // namespace papc::async
