@@ -71,7 +71,7 @@ int main() {
         for (const std::uint32_t k : {2U, 4U, 8U, 16U, 32U, 64U}) {
             auto& row = table.row().add(k);
             for (int which = 0; which < 5; ++which) {
-                const auto o = runner::run_experiment_parallel(
+                const auto o = runner::run_experiment(
                     [&](std::uint64_t s) { return sync_trial(which, n, k, 2.0, s); },
                     3, derive_seed(0xE601, cell++), /*threads=*/4);
                 row.add(format_double(o.mean("rounds"), 0) + " (" +
@@ -97,7 +97,7 @@ int main() {
         std::uint64_t row_id = 0;
         for (const std::size_t gap : {std::size_t{64}, std::size_t{256},
                                       std::size_t{1024}}) {
-            const auto o = runner::run_experiment_parallel(
+            const auto o = runner::run_experiment(
                 [&](std::uint64_t s) {
                     runner::TrialMetrics m;
                     const std::size_t a_count = (n + gap) / 2;

@@ -39,7 +39,7 @@ int main() {
         c.alpha_hint = alpha;
         c.max_time = 3000.0;
         c.record_series = false;
-        const auto o = runner::run_experiment_parallel(
+        const auto o = runner::run_experiment(
             [&](std::uint64_t s) {
                 const async::AsyncResult r =
                     async::run_single_leader(n, k, alpha, c, s);
@@ -49,7 +49,7 @@ int main() {
                 return m;
             },
             reps, 0xEA00, /*threads=*/4);
-        const auto seq = runner::run_experiment_parallel(
+        const auto seq = runner::run_experiment(
             [&](std::uint64_t s) {
                 const async::AsyncResult r =
                     async::run_sequential_single_leader(n, k, alpha, c, s);
@@ -75,7 +75,7 @@ int main() {
                  "commits", "aborts", "abort rate", "success"});
     std::uint64_t row = 0;
     for (const double mean_msg : {0.01, 0.1, 0.5, 1.0, 2.0, 5.0}) {
-        const auto o = runner::run_experiment_parallel(
+        const auto o = runner::run_experiment(
             [&](std::uint64_t s) {
                 async::AsyncConfig c;
                 c.alpha_hint = alpha;

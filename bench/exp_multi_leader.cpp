@@ -43,7 +43,7 @@ int main() {
                      "t_first_switch", "t_l - t_f", "elapsed"});
         std::uint64_t row = 0;
         for (const std::size_t n : ns) {
-            const auto o = runner::run_experiment_parallel(
+            const auto o = runner::run_experiment(
                 [&](std::uint64_t s) {
                     Rng rng(s);
                     const cluster::ClusteringResult r =
@@ -79,7 +79,7 @@ int main() {
         Table table({"n", "clusters", "time to inform all", "mean inform time"});
         std::uint64_t row = 0;
         for (const std::size_t n : ns) {
-            const auto o = runner::run_experiment_parallel(
+            const auto o = runner::run_experiment(
                 [&](std::uint64_t s) {
                     Rng rng(s);
                     const cluster::ClusteringResult clustering =
@@ -117,7 +117,7 @@ int main() {
                      "success"});
         std::uint64_t row = 0;
         for (const std::size_t n : ns) {
-            const auto o = runner::run_experiment_parallel(
+            const auto o = runner::run_experiment(
                 [&](std::uint64_t s) {
                     const cluster::MultiLeaderResult r =
                         cluster::run_multi_leader(n, 4, 2.0, base_config(), s);

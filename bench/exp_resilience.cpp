@@ -32,7 +32,7 @@ int main() {
                      "end time"});
         std::uint64_t row = 0;
         for (const double failure_time : {-1.0, 10.0}) {
-            const auto o = runner::run_experiment_parallel(
+            const auto o = runner::run_experiment(
                 [&](std::uint64_t s) {
                     async::AsyncConfig c;
                     c.alpha_hint = alpha;
@@ -72,7 +72,7 @@ int main() {
                      "active clusters"});
         std::uint64_t row = 0;
         for (const double fraction : {0.0, 0.25, 0.5, 0.75, 0.9}) {
-            const auto o = runner::run_experiment_parallel(
+            const auto o = runner::run_experiment(
                 [&](std::uint64_t s) {
                     cluster::ClusterConfig c;
                     c.size_floor = 24;

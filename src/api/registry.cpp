@@ -1,6 +1,7 @@
 #include "api/registry.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <utility>
 
@@ -47,9 +48,11 @@ Assignment build_assignment(const Scenario& s, Rng& rng) {
 // Each result type declares its extras once, as a table of emit(name, value)
 // rows. Both ScenarioResult::extras and ProtocolInfo::extra_metrics come from it.
 
+/// Receives one extras row; ScenarioResult::extras stores every value as a double.
+using Emit = std::function<void(const char* name, double value)>;
+
 /// The damage every protocol reports — zeros when the plan is inactive — so a
 /// degradation sweep compares cells across families without special-casing keys.
-template <typename Emit>
 void fault_extras(const fault::FaultCounters& faults, std::uint64_t nodes_crashed,
                   std::uint64_t byzantine_nodes, const Emit& emit) {
     emit("faults_injected", faults.total());
@@ -65,8 +68,7 @@ void fault_extras(const fault::FaultCounters& faults, std::uint64_t nodes_crashe
 /// The counters AsyncResult and MultiLeaderResult share, plus their damage.
 /// Byzantine reporting is a sampling-layer fault; the event-driven families
 /// have no sampled-state channel to lie on, so that count is structurally zero.
-template <typename R, typename Emit>
-void event_extras(const R& r, const Emit& emit) {
+void event_extras(const sim::EventRunResult& r, const Emit& emit) {
     emit("ticks", r.ticks);
     emit("exchanges", r.exchanges);
     emit("two_choices", r.two_choices_count);
@@ -80,7 +82,6 @@ void event_extras(const R& r, const Emit& emit) {
     fault_extras(r.faults, r.nodes_crashed, 0, emit);
 }
 
-template <typename Emit>
 void extras(const async::AsyncResult& r, const Emit& emit) {
     emit("good_ticks", r.good_ticks);
     emit("refreshes", r.refresh_count);
@@ -89,7 +90,6 @@ void extras(const async::AsyncResult& r, const Emit& emit) {
     event_extras(r, emit);
 }
 
-template <typename Emit>
 void extras(const async::ValidatedResult& r, const Emit& emit) {
     extras(r.base, emit);
     emit("commits", r.commits);
@@ -97,7 +97,6 @@ void extras(const async::ValidatedResult& r, const Emit& emit) {
     emit("abort_rate", r.abort_rate);
 }
 
-template <typename Emit>
 void extras(const cluster::MultiLeaderResult& r, const Emit& emit) {
     emit("clustering_time", r.clustering_time);
     emit("active_clusters", r.clustering.num_active);
@@ -118,7 +117,6 @@ struct Outcome {
     double final_state = 0.0;
 };
 
-template <typename Emit>
 void extras(const Outcome& o, const Emit& emit) {
     if (o.final_name != nullptr) emit(o.final_name, o.final_state);
     fault_extras(o.faults, o.nodes_crashed, o.byzantine_nodes, emit);
@@ -138,14 +136,15 @@ void add(ProtocolRegistry& registry, ProtocolInfo info, const R& blank, Run run)
                       {"fault_loss", "fault_dup", "fault_corrupt", "fault_crash_rate",
                        "fault_recover_rate", "fault_straggler_frac",
                        "fault_straggler_scale", "byzantine_frac", "byzantine_policy"});
-    extras(blank,
-           [&info](const char* name, auto) { info.extra_metrics.emplace_back(name); });
+    extras(blank, [&info](const char* name, double) {
+        info.extra_metrics.emplace_back(name);
+    });
     registry.register_protocol(
         std::move(info), [run = std::move(run)](const Scenario& s, std::uint64_t seed) {
             const R r = run(s, seed);
             ScenarioResult out{run_part(r), {}};
-            extras(r, [&out](const char* name, auto value) {
-                out.extras[name] = static_cast<double>(value);
+            extras(r, [&out](const char* name, double value) {
+                out.extras[name] = value;
             });
             return out;
         });

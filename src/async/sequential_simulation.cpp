@@ -126,7 +126,8 @@ AsyncResult SequentialSingleLeaderSimulation::run() {
     // The first global Exp(n) race; advance() keeps exactly one pending.
     next_tick_ = rng_.exponential(static_cast<double>(nodes_.size()));
     drive();
-    return finish(scratch_[0].ticks, windows_, 0, message_faults_);
+    fold(scratch_[0].ticks, windows_, 0, message_faults_, result_);
+    return finish();
 }
 
 AsyncResult run_sequential_single_leader(std::size_t n, std::uint32_t k,

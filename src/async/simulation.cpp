@@ -40,7 +40,8 @@ SingleLeaderSimulation::~SingleLeaderSimulation() = default;
 bool SingleLeaderSimulation::advance() {
     if (executor_->empty()) return false;
     begin_window();
-    const bool ran = executor_->run_window(
+    return run_window(
+        *executor_,
         [this](sim::WindowedExecutor<AsyncEvent>::ShardContext& ctx, double t,
                AsyncEvent& ev) {
             ShardScratch& scratch = scratch_[ctx.shard()];
@@ -128,8 +129,8 @@ bool SingleLeaderSimulation::advance() {
                             break;
                     }
                     if (changed) {
-                        scratch.moves.push_back(
-                            CensusMove{old_gen, old_col, v.gen, v.col});
+                        record_move(ctx.shard(),
+                                    CensusMove{old_gen, old_col, v.gen, v.col});
                         // Invariant: never beyond the leader's generation
                         // (the snapshot is a lower bound of the live one).
                         PAPC_CHECK(v.gen <= snap_leader_gen_);
@@ -160,9 +161,6 @@ bool SingleLeaderSimulation::advance() {
                     break;
             }
         });
-    commit_window();
-    now_ = executor_->now();
-    return ran;
 }
 
 AsyncResult SingleLeaderSimulation::run() {
@@ -178,7 +176,8 @@ AsyncResult SingleLeaderSimulation::run() {
                         AsyncEvent{AsyncEventKind::kTick, v, 0, 0, 0});
     }
     drive();
-    return finish(*executor_);
+    fold(*executor_, result_);
+    return finish();
 }
 
 AsyncResult run_single_leader(std::size_t n, std::uint32_t k, double alpha,

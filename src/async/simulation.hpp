@@ -13,15 +13,9 @@
 ///     and applies Algorithm 2; generation promotions notify the leader
 ///     with an i-signal (one more latency draw).
 ///
-/// Since PR 6 the event loop runs on the sharded windowed executor
-/// (sim/windowed_executor.hpp): nodes are partitioned into shards, events
-/// process in parallel inside conservative time windows, and one
-/// core::Engine::advance() call executes one window. Peer and leader
-/// reads go through window-start snapshots, signal events are owned by
-/// the leader's shard, and census transitions merge in shard order at the
-/// window barrier — fixed-seed results are bit-identical at every thread
-/// count. The run loop (budgets, sampling cadence, ε/consensus detection,
-/// series recording) still lives in core::run().
+/// The event loop runs on the sharded windowed executor, one window per
+/// core::Engine::advance() call, under the porting rules of
+/// sim/event_engine.hpp; signal events are owned by the leader's shard.
 
 #include <cstdint>
 #include <memory>

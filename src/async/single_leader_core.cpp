@@ -10,10 +10,7 @@ namespace papc::async {
 
 SingleLeaderCore::SingleLeaderCore(const Assignment& assignment,
                                    const AsyncConfig& config, std::uint64_t seed)
-    : config_(config),
-      rng_(seed),
-      census_(assignment.size(), assignment.num_opinions) {
-    PAPC_CHECK(assignment.size() >= 2);
+    : EventEngine(assignment), config_(config), rng_(seed) {
     const std::size_t n = assignment.size();
     nodes_.resize(n);
     for (NodeId v = 0; v < n; ++v) {
@@ -23,29 +20,22 @@ SingleLeaderCore::SingleLeaderCore(const Assignment& assignment,
         nodes_[v].seen_gen = 1;     // leader's initial public state
         nodes_[v].seen_prop = false;
     }
-    census_.reset(assignment.opinions);
-    plurality_ = census_.pooled_stats().dominant;
 }
 
 SingleLeaderCore::~SingleLeaderCore() = default;
 
-void SingleLeaderCore::attach_faults() {
-    PAPC_CHECK(!started_);
-    started_ = true;
+fault::FaultPlan SingleLeaderCore::fault_plan() const {
     fault::FaultPlan plan = config_.fault;
     if (config_.leader_failure_time >= 0.0) {
         plan.scheduled_crashes.push_back(
             fault::CrashEntry{fault::kLeaderNode, config_.leader_failure_time});
     }
-    if (plan.active()) {
-        injector_ = std::make_unique<fault::Injector>(plan, nodes_.size(),
-                                                      config_.max_time, rng_);
-        crash_on_ = injector_->crash_active();
-        result_.nodes_crashed = injector_->nodes_crashed();
-    }
+    return plan;
 }
 
 void SingleLeaderCore::open_leader(double steps_per_unit) {
+    PAPC_CHECK(!started_);
+    started_ = true;
     // Leader thresholds: C3·n 0-signals span `two_choices_units` time units
     // (Proposition 16); the generation-size gate is ⌈fraction·n⌉.
     const auto n = static_cast<double>(nodes_.size());
@@ -67,37 +57,18 @@ void SingleLeaderCore::begin_window() {
     snap_leader_prop_ = leader_->prop();
 }
 
-void SingleLeaderCore::commit_window() {
-    for (ShardScratch& scratch : scratch_) {
-        for (const CensusMove& move : scratch.moves) {
-            census_.transition(move.old_gen, move.old_col, move.new_gen,
-                               move.new_col);
-        }
-        scratch.moves.clear();
-    }
-}
-
 void SingleLeaderCore::drive() {
     result_.leader_generation = TimeSeries("leader-generation");
-    core::EngineOptions run_options;
-    run_options.max_time = config_.max_time;
-    run_options.sample_interval = config_.sample_interval;
-    run_options.record = config_.record_series;
-    run_options.plurality = plurality_;
-    run_options.epsilon = config_.epsilon;
     core::FunctionObserver observer([this](double time, double) {
         if (config_.record_series) {
             result_.leader_generation.record(
                 time, static_cast<double>(leader_->gen()));
         }
     });
-    static_cast<core::RunResult&>(result_) =
-        core::run(*this, run_options, &observer);
+    run_core(config_, observer, result_);
 }
 
-AsyncResult SingleLeaderCore::finish(std::uint64_t events, std::uint64_t windows,
-                                     std::uint64_t stragglers,
-                                     const fault::FaultCounters& message_faults) {
+AsyncResult SingleLeaderCore::finish() {
     for (const ShardScratch& scratch : scratch_) {
         result_.ticks += scratch.ticks;
         result_.good_ticks += scratch.good_ticks;
@@ -108,16 +79,8 @@ AsyncResult SingleLeaderCore::finish(std::uint64_t events, std::uint64_t windows
         result_.channels_opened += scratch.channels_opened;
         result_.faults.crash_skips += scratch.crash_skips;
     }
-    result_.faults.lost = message_faults.lost;
-    result_.faults.duplicated = message_faults.duplicated;
-    result_.faults.corrupted = message_faults.corrupted;
-    result_.faults.delayed = message_faults.delayed;
     result_.signals_delivered = load_.signals;
     result_.leader_peak_load = static_cast<double>(std::max(load_.peak, load_.count));
-    result_.events_processed = events;
-    result_.windows = windows;
-    result_.window_stragglers = stragglers;
-    result_.final_top_generation = census_.highest_populated();
     result_.leader_trace = leader_->trace();
     return std::move(result_);
 }

@@ -43,7 +43,8 @@ ValidatedSingleLeaderSimulation::~ValidatedSingleLeaderSimulation() = default;
 bool ValidatedSingleLeaderSimulation::advance() {
     if (executor_->empty()) return false;
     begin_window();
-    const bool ran = executor_->run_window(
+    return run_window(
+        *executor_,
         [this](sim::WindowedExecutor<ValidatedEvent>::ShardContext& ctx,
                double t, ValidatedEvent& ev) {
             ShardScratch& scratch = scratch_[ctx.shard()];
@@ -168,8 +169,8 @@ bool ValidatedSingleLeaderSimulation::advance() {
                             } else {
                                 ++scratch.propagation;
                             }
-                            scratch.moves.push_back(
-                                CensusMove{old_gen, old_col, v.gen, v.col});
+                            record_move(ctx.shard(),
+                                        CensusMove{old_gen, old_col, v.gen, v.col});
                             PAPC_CHECK(v.gen <= snap_leader_gen_);
                             if (ev.decision.send_gen_signal) {
                                 ValidatedEvent sig;
@@ -203,9 +204,6 @@ bool ValidatedSingleLeaderSimulation::advance() {
                     break;
             }
         });
-    commit_window();
-    now_ = executor_->now();
-    return ran;
 }
 
 ValidatedResult ValidatedSingleLeaderSimulation::run() {
@@ -231,7 +229,8 @@ ValidatedResult ValidatedSingleLeaderSimulation::run() {
         result.commits += scratch.commits;
         result.aborts += scratch.aborts;
     }
-    result.base = finish(*executor_);
+    fold(*executor_, result_);
+    result.base = finish();
     const std::uint64_t attempts = result.commits + result.aborts;
     result.abort_rate =
         attempts == 0 ? 0.0

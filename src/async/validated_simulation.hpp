@@ -27,8 +27,8 @@
 /// Aborts preserve the §3.2 interleaving invariants under message delays;
 /// bench/exp_exchange_latency measures their cost.
 ///
-/// Since PR 6 the event loop runs on the sharded windowed executor (see
-/// async/simulation.hpp for the shared porting notes): one advance() =
+/// The event loop runs on the sharded windowed executor (see
+/// sim/event_engine.hpp for the shared porting notes): one advance() =
 /// one conservative window, peer/leader reads go through window-start
 /// snapshots (the t2/t3 leader states the commit rule compares are the
 /// snapshots of the windows containing t2 and t3), and fixed-seed results

@@ -5,17 +5,18 @@
 /// constants are asymptotic (cluster floor log^(c-1) n, leader probability
 /// 1/log^c n, counting thresholds c2/c3·floor·loglog n); the defaults here
 /// are tuned so the protocol exhibits the analyzed behaviour at
-/// simulation-scale n (2^10 .. 2^20). All are configurable.
+/// simulation-scale n (2^10 .. 2^20). All are configurable. The knobs
+/// shared with the single-leader engines (latency, budgets, sampling,
+/// faults, executor) live in sim::EventConfig.
 
 #include <cmath>
-#include <cstdint>
+#include <cstddef>
 
-#include "fault/plan.hpp"
-#include "sim/queue_kind.hpp"
+#include "sim/event_engine.hpp"
 
 namespace papc::cluster {
 
-struct ClusterConfig {
+struct ClusterConfig : sim::EventConfig {
     // ----------------------------------------------------------- clustering
     /// Participation floor: clusters must reach this size to take part in
     /// the consensus phase (paper: log^(c-1) n). 0 = derive from n as
@@ -40,12 +41,6 @@ struct ClusterConfig {
     double clustering_max_time = 400.0;
 
     // ------------------------------------------------------------ consensus
-    /// Latency rate λ of the Exponential(λ) channel model.
-    double lambda = 1.0;
-
-    /// Assumed initial bias (known to nodes, §3.2).
-    double alpha_hint = 1.5;
-
     /// Leader tick-counter thresholds, in *time units* relative to the birth
     /// of the leader's current generation: the two-choices window ends
     /// (sleeping starts) after `sleep_units`, propagation opens after
@@ -58,54 +53,17 @@ struct ClusterConfig {
     /// cardinality (paper: 1/2 + 1/√log n).
     double generation_size_fraction = 0.55;
 
-    /// Extra generations beyond the closed-form G*.
-    unsigned generation_slack = 2;
-
-    /// Hard cap on the consensus phase (time steps).
-    double max_time = 5000.0;
-
-    double epsilon = 0.02;
-    double sample_interval = 0.25;
-    bool record_series = true;
-
     /// Adversarial failure injection (§4: resilience against limited
     /// attacks): at `leader_failure_time` a uniformly random
     /// `leader_failure_fraction` of the active cluster leaders crash.
     /// Crashed leaders stop answering: sampled members treat them like
     /// inactive clusters, their signals are dropped, and their own members
     /// fail over to refreshing tmp_* from the sampled leader instead.
-    /// Negative time = no failure.
+    /// Negative time = no failure. The fault plan covers the consensus
+    /// phase's signal and adopt messages and member crashes; its
+    /// scheduled_crashes address ordinary members, never leaders.
     double leader_failure_time = -1.0;
     double leader_failure_fraction = 0.0;
-
-    /// Fault & adversary plan (src/fault/plan.hpp): message loss /
-    /// duplication / corruption / stragglers on the consensus phase's
-    /// signal and adopt messages, plus member crash + recover. Leader
-    /// crashes keep the dedicated observer-driven knobs above (they model
-    /// the paper's §4 attack); the plan's scheduled_crashes address
-    /// ordinary members. An all-zero plan is byte-identical to no plan.
-    fault::FaultPlan fault;
-
-    /// Scheduler-queue implementation behind both event loops (clustering
-    /// phase and consensus phase). All kinds pop in identical (time, seq)
-    /// order, so for a fixed seed this knob changes throughput only, never
-    /// results. Prefer kCalendar or kLadder for n >> 2^16 pending events.
-    sim::QueueKind queue_kind = sim::QueueKind::kBinaryHeap;
-
-    /// Worker threads of the consensus phase's windowed executor. Results
-    /// are bit-identical at every thread count; only throughput changes.
-    /// (The clustering pre-phase stays single-queue: it is short and its
-    /// leader-election writes are global.)
-    std::size_t threads = 1;
-
-    /// Conservative window width delta of the windowed executor, in time
-    /// units. <= 0 derives sim::default_window(lambda). Part of the
-    /// trajectory: two runs only reproduce each other with equal windows.
-    double window = 0.0;
-
-    /// Shard count of the windowed executor (0 = default). Part of the
-    /// trajectory; never auto-scaled.
-    std::size_t event_shards = 0;
 
     /// Resolved floor for population n.
     [[nodiscard]] std::size_t resolved_floor(std::size_t n) const {

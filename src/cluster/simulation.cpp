@@ -6,7 +6,6 @@
 #include "analysis/latency_units.hpp"
 #include "analysis/theory.hpp"
 #include "core/observer.hpp"
-#include "sim/windowed_executor.hpp"
 #include "support/check.hpp"
 
 namespace papc::cluster {
@@ -35,11 +34,11 @@ MultiLeaderSimulation::MultiLeaderSimulation(const Assignment& assignment,
                                              ClusteringResult clustering,
                                              const ClusterConfig& config,
                                              std::uint64_t seed)
-    : config_(config),
+    : EventEngine(assignment),
+      config_(config),
       clustering_(std::move(clustering)),
       rng_(seed),
-      latency_(config.lambda),
-      census_(assignment.size(), assignment.num_opinions) {
+      latency_(config.lambda) {
     const std::size_t n = assignment.size();
     PAPC_CHECK(clustering_.cluster_of.size() == n);
 
@@ -52,8 +51,6 @@ MultiLeaderSimulation::MultiLeaderSimulation(const Assignment& assignment,
         members_[v].tmp_gen = 1;
         members_[v].tmp_state = LeaderState::kTwoChoices;
     }
-    census_.reset(assignment.opinions);
-    plurality_ = census_.pooled_stats().dominant;
 
     // Measure C1 for the 5-channel member exchange (three samples, then the
     // own leader and the sampled leader concurrently); Monte Carlo,
@@ -101,14 +98,15 @@ void MultiLeaderSimulation::mark_finished(ShardScratch& scratch, NodeId v) {
     }
 }
 
-void MultiLeaderSimulation::adopt_finished(ShardScratch& scratch, NodeId v,
+void MultiLeaderSimulation::adopt_finished(std::size_t shard, NodeId v,
                                            Opinion col) {
     MemberState& m = members_[v];
     if (m.finished) return;
     if (m.col != col) {
-        scratch.moves.push_back(CensusMove{m.gen, m.col, m.gen, col});
+        record_move(shard, CensusMove{m.gen, m.col, m.gen, col});
         m.col = col;
     }
+    ShardScratch& scratch = scratch_[shard];
     mark_finished(scratch, v);
     ++scratch.adoptions;
 }
@@ -149,20 +147,11 @@ void MultiLeaderSimulation::begin_window() {
     }
 }
 
-void MultiLeaderSimulation::commit_window() {
-    for (ShardScratch& scratch : scratch_) {
-        for (const CensusMove& move : scratch.moves) {
-            census_.transition(move.old_gen, move.old_col, move.new_gen,
-                               move.new_col);
-        }
-        scratch.moves.clear();
-    }
-}
-
 bool MultiLeaderSimulation::advance() {
     if (executor_->empty()) return false;
     begin_window();
-    const bool ran = executor_->run_window(
+    return run_window(
+        *executor_,
         [this](sim::WindowedExecutor<ClusterEvent>::ShardContext& ctx, double t,
                ClusterEvent& ev) {
             ShardScratch& scratch = scratch_[ctx.shard()];
@@ -264,7 +253,7 @@ bool MultiLeaderSimulation::advance() {
                     bool adopted_final = false;
                     for (const NodeId s : samples) {
                         if (members_snap_[s].finished) {
-                            adopt_finished(scratch, v, members_snap_[s].col);
+                            adopt_finished(ctx.shard(), v, members_snap_[s].col);
                             adopted_final = true;
                             break;
                         }
@@ -297,8 +286,8 @@ bool MultiLeaderSimulation::advance() {
 
                     if (d.kind != MemberDecision::Kind::kNone) {
                         PAPC_CHECK(d.new_gen > m.gen);
-                        scratch.moves.push_back(
-                            CensusMove{m.gen, m.col, d.new_gen, d.new_col});
+                        record_move(ctx.shard(),
+                                    CensusMove{m.gen, m.col, d.new_gen, d.new_col});
                         m.gen = d.new_gen;
                         m.col = d.new_col;
                         if (d.kind == MemberDecision::Kind::kTwoChoices) {
@@ -362,13 +351,10 @@ bool MultiLeaderSimulation::advance() {
                         ++scratch.crash_skips;
                         break;
                     }
-                    adopt_finished(scratch, ev.node, ev.col);
+                    adopt_finished(ctx.shard(), ev.node, ev.col);
                     break;
             }
         });
-    commit_window();
-    now_ = executor_->now();
-    return ran;
 }
 
 MultiLeaderResult MultiLeaderSimulation::run() {
@@ -379,29 +365,11 @@ MultiLeaderResult MultiLeaderSimulation::run() {
     result_.clustering = clustering_;
     result_.clustering_time = clustering_.elapsed;
 
-    // Fault layer. Leader crashes keep the observer-driven §4 knobs
+    // Leader crashes keep the observer-driven §4 knobs
     // (maybe_inject_failure); the plan covers member crashes and message
-    // faults. Derived via pure substream: rng_ is not advanced, so an
-    // all-zero plan is byte-identical to no plan.
-    if (config_.fault.active()) {
-        injector_ = std::make_unique<fault::Injector>(config_.fault, n,
-                                                      config_.max_time, rng_);
-        crash_on_ = injector_->crash_active();
-        result_.nodes_crashed = injector_->nodes_crashed();
-    }
-
-    // Windowed executor: pending events stay near 2 per node (next tick +
-    // in-flight exchange/signal).
-    sim::WindowedOptions executor_options;
-    executor_options.shards = config_.event_shards;
-    executor_options.threads = config_.threads;
-    executor_options.window = config_.window;
-    executor_options.lambda = config_.lambda;
-    executor_options.queue_kind = config_.queue_kind;
-    executor_options.reserve_hint = 2 * n;
-    executor_options.injector = injector_.get();
-    executor_ = std::make_unique<sim::WindowedExecutor<ClusterEvent>>(
-        n, executor_options, rng_.split());
+    // faults.
+    attach_faults(config_.fault, n, config_.max_time, rng_);
+    executor_ = make_executor<ClusterEvent>(config_, n, rng_.split());
     scratch_.resize(executor_->num_shards());
 
     for (NodeId v = 0; v < n; ++v) {
@@ -411,19 +379,13 @@ MultiLeaderResult MultiLeaderSimulation::run() {
         executor_->seed(executor_->shard_of(v), rng_.exponential(1.0), tick);
     }
 
-    core::EngineOptions run_options;
-    run_options.max_time = config_.max_time;
-    run_options.sample_interval = config_.sample_interval;
-    run_options.record = config_.record_series;
-    run_options.plurality = plurality_;
-    run_options.epsilon = config_.epsilon;
     // Failure injection fires at the sampling cadence, like the old
     // metronome did (between windows: shards never observe a mid-window
     // crash).
     core::FunctionObserver observer(
         [this](double, double) { maybe_inject_failure(); });
-    static_cast<core::RunResult&>(result_) =
-        core::run(*this, run_options, &observer);
+    run_core(config_, observer, result_);
+    fold(*executor_, result_);
 
     std::uint64_t finished_count = 0;
     for (const ShardScratch& scratch : scratch_) {
@@ -438,21 +400,10 @@ MultiLeaderResult MultiLeaderSimulation::run() {
         finished_count += scratch.finished;
         result_.faults.crash_skips += scratch.crash_skips;
     }
-    {
-        const fault::FaultCounters& mf = executor_->fault_counters();
-        result_.faults.lost += mf.lost;
-        result_.faults.duplicated += mf.duplicated;
-        result_.faults.corrupted += mf.corrupted;
-        result_.faults.delayed += mf.delayed;
-    }
     for (const std::uint64_t pending : load_count_) {
         result_.leader_peak_load =
             std::max(result_.leader_peak_load, static_cast<double>(pending));
     }
-    result_.events_processed = executor_->events_processed();
-    result_.windows = executor_->windows_run();
-    result_.window_stragglers = executor_->stragglers();
-    result_.final_top_generation = census_.highest_populated();
     result_.finished_fraction =
         static_cast<double>(finished_count) / static_cast<double>(n);
     result_.leader_traces.reserve(leaders_.size());

@@ -8,9 +8,9 @@
 /// The run loop (budgets, sampling, ε/consensus detection) is owned by
 /// core::run(); failure injection piggybacks on the driver's sample hook.
 ///
-/// Since PR 6 the consensus phase runs on the sharded windowed executor
-/// (sim/windowed_executor.hpp; see async/simulation.hpp for the shared
-/// porting notes). Multi-leader specifics:
+/// The consensus phase runs on the sharded windowed executor through
+/// sim::EventEngine (sim/event_engine.hpp holds the shared porting notes).
+/// Multi-leader specifics:
 ///   - cluster leader c is owned by shard c mod S: all member signals to c
 ///     route there, and only that shard touches c's counters and per-leader
 ///     congestion window;
@@ -31,57 +31,26 @@
 #include "cluster/clustering.hpp"
 #include "cluster/config.hpp"
 #include "cluster/member.hpp"
-#include "core/engine.hpp"
-#include "core/run_result.hpp"
-#include "fault/injector.hpp"
 #include "opinion/assignment.hpp"
-#include "opinion/census.hpp"
+#include "sim/event_engine.hpp"
 #include "sim/latency.hpp"
 #include "support/random.hpp"
-#include "support/timeseries.hpp"
-
-namespace papc::sim {
-template <typename Event>
-class WindowedExecutor;
-}  // namespace papc::sim
 
 namespace papc::cluster {
 
-/// Aggregate outcome of one full multi-leader run. The unified convergence
-/// semantics live in the core::RunResult base (the consensus-phase clock,
-/// starting at 0); the fields below are clustering and §4.5 accounting.
-/// NOTE: since PR 6 RunResult::steps counts executor *windows*, not
-/// events — use events_processed for event throughput.
-struct MultiLeaderResult : core::RunResult {
+/// Aggregate outcome of one full multi-leader run: the counters shared with
+/// the single-leader engines (sim::EventRunResult; the convergence semantics
+/// use the consensus-phase clock, starting at 0) plus clustering and
+/// finished-flag accounting. leader_peak_load is the max signals/step at any
+/// one cluster leader: §4.5 spreads the load over all of them.
+struct MultiLeaderResult : sim::EventRunResult {
     // Clustering phase.
     ClusteringResult clustering;
     double clustering_time = 0.0;
 
     // Consensus phase accounting.
     double finished_fraction = 0.0;  ///< nodes with the finished flag at end
-
-    std::uint64_t ticks = 0;
-    std::uint64_t exchanges = 0;
-    std::uint64_t two_choices_count = 0;
-    std::uint64_t propagation_count = 0;
     std::uint64_t finished_adoptions = 0;
-
-    Generation final_top_generation = 0;
-
-    // §4.5 complexity accounting: the load is spread over all cluster
-    // leaders (vs Θ(n) per step on the single leader).
-    std::uint64_t signals_delivered = 0;  ///< all signals at any leader
-    double leader_peak_load = 0.0;        ///< max signals/step at one leader
-
-    // Windowed-executor accounting (PR 6).
-    std::uint64_t events_processed = 0;   ///< total events across shards
-    std::uint64_t windows = 0;            ///< conservative windows executed
-    std::uint64_t window_stragglers = 0;  ///< cross-shard sends behind a
-                                          ///< closed window
-
-    // Fault-injection accounting (all zero without an active plan).
-    fault::FaultCounters faults;
-    std::uint64_t nodes_crashed = 0;
 
     /// Per-active-cluster leader traces (Figure 2 source data).
     std::vector<std::vector<ClusterLeaderTransition>> leader_traces;
@@ -96,7 +65,7 @@ struct MultiLeaderResult : core::RunResult {
 struct ClusterEvent;
 
 /// Runs the consensus phase over an existing clustering.
-class MultiLeaderSimulation final : public core::Engine {
+class MultiLeaderSimulation final : public sim::EventEngine {
 public:
     MultiLeaderSimulation(const Assignment& assignment,
                           ClusteringResult clustering,
@@ -108,18 +77,9 @@ public:
     /// the result are copied from the provided clustering.
     [[nodiscard]] MultiLeaderResult run();
 
-    // core::Engine driver interface (one window of events per advance).
+    /// One window of events per call (driven by run()).
     bool advance() override;
-    [[nodiscard]] double now() const override { return now_; }
-    [[nodiscard]] bool converged() const override { return census_.converged(); }
-    [[nodiscard]] Opinion dominant() const override {
-        return census_.pooled_stats().dominant;
-    }
-    [[nodiscard]] double opinion_fraction(Opinion j) const override {
-        return census_.opinion_fraction(j);
-    }
 
-    [[nodiscard]] const GenerationCensus& census() const { return census_; }
     [[nodiscard]] const MemberState& member(NodeId v) const { return members_[v]; }
     [[nodiscard]] const ClusterLeader& leader(std::size_t c) const {
         return *leaders_[c];
@@ -127,14 +87,7 @@ public:
     [[nodiscard]] std::size_t num_clusters() const { return leaders_.size(); }
 
 private:
-    struct CensusMove {
-        Generation old_gen;
-        Opinion old_col;
-        Generation new_gen;
-        Opinion new_col;
-    };
-
-    /// Shard-owned accumulation (see async/simulation.hpp).
+    /// Shard-owned event counters for the whole run, cache-line aligned.
     struct alignas(64) ShardScratch {
         std::uint64_t ticks = 0;
         std::uint64_t exchanges = 0;
@@ -145,7 +98,6 @@ private:
         std::uint64_t signals = 0;
         std::uint64_t crash_skips = 0;
         double peak_load = 0.0;
-        std::vector<CensusMove> moves;
     };
 
     /// Window-start snapshot of one cluster leader's public state.
@@ -158,32 +110,24 @@ private:
     [[nodiscard]] std::size_t leader_shard(std::size_t cluster) const;
 
     void begin_window();
-    void commit_window();
     void mark_finished(ShardScratch& scratch, NodeId v);
-    void adopt_finished(ShardScratch& scratch, NodeId v, Opinion col);
+    void adopt_finished(std::size_t shard, NodeId v, Opinion col);
     void maybe_inject_failure();
     void record_leader_signal(ShardScratch& scratch, std::size_t cluster,
                               double time);
 
     ClusterConfig config_;
     ClusteringResult clustering_;
-    /// Fault layer (built in run(); rng_ not advanced — see
-    /// async/simulation.hpp).
-    std::unique_ptr<fault::Injector> injector_;
-    bool crash_on_ = false;
     Rng rng_;
     sim::ExponentialLatency latency_;
     std::vector<MemberState> members_;
     std::vector<MemberState> members_snap_;  ///< window-start copy
     std::vector<std::unique_ptr<ClusterLeader>> leaders_;
     std::vector<LeaderSnap> leader_snap_;    ///< window-start leader states
-    GenerationCensus census_;
     std::unique_ptr<sim::WindowedExecutor<ClusterEvent>> executor_;
     std::vector<ShardScratch> scratch_;
-    Opinion plurality_ = 0;
     bool ran_ = false;
 
-    double now_ = 0.0;
     MultiLeaderResult result_;
     Generation max_generation_ = 0;
 

@@ -42,30 +42,20 @@ ExperimentOutcome aggregate(std::vector<TrialMetrics> per_trial) {
 }  // namespace
 
 ExperimentOutcome run_experiment(const TrialFn& trial, std::size_t reps,
-                                 std::uint64_t base_seed) {
-    PAPC_CHECK(reps > 0);
-    std::vector<TrialMetrics> per_trial(reps);
-    for (std::size_t r = 0; r < reps; ++r) {
-        per_trial[r] = trial(derive_seed(base_seed, r));
-    }
-    return aggregate(std::move(per_trial));
-}
-
-ExperimentOutcome run_experiment_parallel(const TrialFn& trial,
-                                          std::size_t reps,
-                                          std::uint64_t base_seed,
-                                          std::size_t threads) {
+                                 std::uint64_t base_seed, std::size_t threads) {
     PAPC_CHECK(reps > 0);
     PAPC_CHECK(threads >= 1);
+    std::vector<TrialMetrics> per_trial(reps);
     if (threads == 1 || reps == 1) {
-        return run_experiment(trial, reps, base_seed);
+        for (std::size_t r = 0; r < reps; ++r) {
+            per_trial[r] = trial(derive_seed(base_seed, r));
+        }
+        return aggregate(std::move(per_trial));
     }
-    threads = std::min(threads, reps);
     // Trial r writes only per_trial[r] and seeds derive from (base, r),
     // so results are identical at any thread count regardless of which
     // pool worker runs which trial.
-    std::vector<TrialMetrics> per_trial(reps);
-    support::ThreadPool pool(threads);
+    support::ThreadPool pool(std::min(threads, reps));
     pool.parallel_for(reps, [&](std::size_t r, std::size_t /*worker*/) {
         per_trial[r] = trial(derive_seed(base_seed, r));
     });
@@ -83,17 +73,6 @@ TrialMetrics metrics_from(const core::RunResult& result) {
         metrics["consensus_time"] = result.consensus_time;
     }
     return metrics;
-}
-
-ExperimentOutcome run_result_experiment(const RunResultFn& trial,
-                                        std::size_t reps,
-                                        std::uint64_t base_seed,
-                                        std::size_t threads) {
-    auto metrics_trial = [&trial](std::uint64_t seed) {
-        return metrics_from(trial(seed));
-    };
-    if (threads <= 1) return run_experiment(metrics_trial, reps, base_seed);
-    return run_experiment_parallel(metrics_trial, reps, base_seed, threads);
 }
 
 void write_json(JsonWriter& writer, const ExperimentOutcome& outcome) {

@@ -37,37 +37,23 @@ struct ExperimentOutcome {
     [[nodiscard]] std::size_t count(const std::string& name) const;
 };
 
-/// Runs `trial` `reps` times with seeds derived from `base_seed`.
+/// Runs `trial` `reps` times with seeds derived from `base_seed`, over
+/// `threads` worker threads (1 = serially on the caller). With more than one
+/// thread the trial function must be thread-safe (all papc simulations are:
+/// they share no mutable state and derive their randomness from the
+/// per-trial seed). Trial r always gets derive_seed(base_seed, r), so the
+/// aggregates are identical at every thread count.
 [[nodiscard]] ExperimentOutcome run_experiment(const TrialFn& trial,
                                                std::size_t reps,
-                                               std::uint64_t base_seed);
-
-/// Same, with trials distributed over `threads` worker threads. The trial
-/// function must be thread-safe (all papc simulations are: they share no
-/// mutable state and derive their randomness from the per-trial seed).
-/// Aggregated results are identical to the serial runner for the same
-/// base_seed — per-trial seeds do not depend on scheduling.
-[[nodiscard]] ExperimentOutcome run_experiment_parallel(const TrialFn& trial,
-                                                        std::size_t reps,
-                                                        std::uint64_t base_seed,
-                                                        std::size_t threads);
+                                               std::uint64_t base_seed,
+                                               std::size_t threads = 1);
 
 /// Standard metrics of a unified core::RunResult: "converged",
 /// "plurality_won", "steps" and "end_time" are always present;
 /// "epsilon_time" and "consensus_time" only when the threshold was reached
-/// (so their aggregates summarize converged trials only).
+/// (so their aggregates summarize converged trials only). A trial that runs
+/// an engine family returns metrics_from(result).
 [[nodiscard]] TrialMetrics metrics_from(const core::RunResult& result);
-
-/// One unified-result trial: receives the derived seed, runs an engine
-/// family through core::run, returns the RunResult.
-using RunResultFn = std::function<core::RunResult(std::uint64_t seed)>;
-
-/// Runs a RunResult-producing trial `reps` times and aggregates the
-/// standard metrics (metrics_from). `threads` > 1 distributes the trials.
-[[nodiscard]] ExperimentOutcome run_result_experiment(const RunResultFn& trial,
-                                                      std::size_t reps,
-                                                      std::uint64_t base_seed,
-                                                      std::size_t threads = 1);
 
 /// Emits the aggregated outcome as one JSON object:
 /// {"repetitions": R, "metrics": {name: {count, mean, stddev, min, max,

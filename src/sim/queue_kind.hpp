@@ -3,8 +3,8 @@
 /// \file queue_kind.hpp
 /// Selection knob for the pluggable scheduler-queue subsystem
 /// (scheduler_queue.hpp). Split into its own tiny header so configuration
-/// structs (async::AsyncConfig, cluster::ClusterConfig) can name a kind
-/// without pulling in the queue implementations.
+/// structs (api::Scenario) can name a kind without pulling in the queue
+/// implementations.
 
 #include <optional>
 #include <string>

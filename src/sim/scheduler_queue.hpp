@@ -29,8 +29,8 @@
 /// window arithmetic is consulted twice.
 ///
 /// Select an implementation with QueueKind (queue_kind.hpp) through
-/// make_scheduler_queue(); engine configs (async::AsyncConfig,
-/// cluster::ClusterConfig) thread the knob to their simulations.
+/// make_scheduler_queue(); the event engines' shared config
+/// (sim::EventConfig in event_engine.hpp) threads the knob to them.
 ///
 /// This header is the single home of the queue types: the legacy
 /// sim/event_queue.hpp compatibility alias (EventQueue = BinaryHeapQueue)

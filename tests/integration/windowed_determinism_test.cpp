@@ -10,6 +10,7 @@
 #include "async/validated_simulation.hpp"
 #include "cluster/simulation.hpp"
 #include "core/run_result.hpp"
+#include "sim/event_engine.hpp"
 
 namespace papc {
 namespace {
@@ -131,6 +132,46 @@ TEST(WindowedDeterminism, MultiLeaderThreadSweep) {
     for (const std::size_t threads : kThreadSweep) {
         EXPECT_EQ(baseline, run(threads)) << "threads=" << threads;
     }
+}
+
+/// Runs `base` and knob variants of it through `run` and pins how the
+/// shared sim::EventEngine maps the executor knobs: shards and window are
+/// part of the trajectory, threads and the queue kind are not.
+template <typename Config, typename Run>
+void expect_executor_knobs_reach(const Config& base, const Run& run) {
+    const auto variant = [&](auto set) {
+        Config config = base;
+        set(static_cast<sim::EventConfig&>(config));
+        return run(config);
+    };
+    const std::string reference = fingerprint(run(base));
+    EXPECT_NE(reference,
+              fingerprint(variant([](sim::EventConfig& c) { c.event_shards = 3; })));
+    const auto wide = variant([](sim::EventConfig& c) { c.window = 0.5; });
+    const auto narrow = variant([](sim::EventConfig& c) { c.window = 0.125; });
+    EXPECT_NE(reference, fingerprint(wide));
+    EXPECT_GT(narrow.windows, wide.windows);
+    EXPECT_EQ(reference, fingerprint(variant([](sim::EventConfig& c) {
+                  c.threads = 4;
+                  c.queue_kind = sim::QueueKind::kLadder;
+              })));
+}
+
+TEST(WindowedDeterminism, ExecutorKnobsReachTheSingleLeaderEngine) {
+    expect_executor_knobs_reach(async_config(1), [](const async::AsyncConfig& c) {
+        return async::run_single_leader(600, 3, 2.0, c, 97);
+    });
+}
+
+TEST(WindowedDeterminism, ExecutorKnobsReachTheMultiLeaderEngine) {
+    cluster::ClusterConfig base;
+    base.size_floor = 16;
+    base.leader_probability = 1.0 / 32.0;
+    base.alpha_hint = 2.0;
+    base.max_time = 800.0;
+    expect_executor_knobs_reach(base, [](const cluster::ClusterConfig& c) {
+        return cluster::run_multi_leader(1024, 2, 2.0, c, 71);
+    });
 }
 
 TEST(WindowedDeterminism, WindowWidthIsPartOfTheTrajectory) {

@@ -63,7 +63,7 @@ TEST(RunExperimentParallel, MatchesSerialOutcome) {
                             {"w", static_cast<double>(seed % 7)}};
     };
     const ExperimentOutcome serial = run_experiment(trial, 40, 11);
-    const ExperimentOutcome parallel = run_experiment_parallel(trial, 40, 11, 4);
+    const ExperimentOutcome parallel = run_experiment(trial, 40, 11, 4);
     ASSERT_EQ(serial.metrics.size(), parallel.metrics.size());
     for (const auto& [name, summary] : serial.metrics) {
         const auto& other = parallel.metrics.at(name);
@@ -77,7 +77,7 @@ TEST(RunExperimentParallel, MatchesSerialOutcome) {
 
 TEST(RunExperimentParallel, SingleThreadDegeneratesToSerial) {
     int calls = 0;
-    const ExperimentOutcome o = run_experiment_parallel(
+    const ExperimentOutcome o = run_experiment(
         [&](std::uint64_t) {
             ++calls;
             return TrialMetrics{{"x", 1.0}};
@@ -88,7 +88,7 @@ TEST(RunExperimentParallel, SingleThreadDegeneratesToSerial) {
 }
 
 TEST(RunExperimentParallel, MoreThreadsThanRepsIsSafe) {
-    const ExperimentOutcome o = run_experiment_parallel(
+    const ExperimentOutcome o = run_experiment(
         [](std::uint64_t s) {
             return TrialMetrics{{"x", static_cast<double>(s % 5)}};
         },

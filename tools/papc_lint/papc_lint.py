@@ -401,6 +401,7 @@ D5_ALLOWED = "src/sync/simd_gather.cpp"
 D6_SANCTIONED = (
     "src/fault/",
     "src/sim/windowed_executor.hpp",
+    "src/sim/event_engine.hpp", "src/sim/event_engine.cpp",
     "src/async/config.hpp",
     "src/async/single_leader_core.hpp", "src/async/single_leader_core.cpp",
     "src/async/simulation.hpp", "src/async/simulation.cpp",
