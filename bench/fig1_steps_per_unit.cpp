@@ -14,8 +14,8 @@
 ///
 /// Note on Example 15: the paper states E(T3) = 1 + 3/λ; the composition
 /// T3 = T2' + T1 + T2' with T2' = max(T2,T2) + T2 gives E(T3) = 1 + 5/λ.
-/// We implement the stated composition and report both readings in
-/// EXPERIMENTS.md.
+/// 1 + 3/λ is the mean without the leader leg (T2' = max(T2, T2)). We
+/// implement the stated composition; the E[T3] column prints 1 + 5/λ.
 
 #include <iostream>
 

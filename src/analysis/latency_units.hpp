@@ -31,8 +31,11 @@ namespace papc::analysis {
 /// λ = 1/2) where rates coincide.
 [[nodiscard]] double t3_cdf_exponential(double lambda, double t);
 
-/// Exact mean of T3 for the exponential model: 1 + 5/λ (composition above).
-/// Note Example 15 of the paper states 1 + 3/λ; see EXPERIMENTS.md (F1).
+/// Exact mean of T3 for the exponential model: 1 + 2/(2λ) + 4/λ = 1 + 5/λ
+/// (composition above). Example 15 of the paper states 1 + 3/λ, which is
+/// the mean of the composition without the leader leg (T2' = max(T2, T2),
+/// mean 3/(2λ)). We keep the stated composition; the E[T3] column of
+/// bench/fig1_steps_per_unit.cpp prints 1 + 5/λ next to the quantiles.
 [[nodiscard]] double t3_mean_exponential(double lambda);
 
 /// q-quantile of T3 (exponential model) by bisecting the exact CDF.

@@ -15,7 +15,9 @@ namespace papc::sim {
 /// All kinds honour the same deterministic (time, seq) pop contract, so
 /// for a fixed seed the choice changes throughput only, never results.
 enum class QueueKind {
-    kBinaryHeap,  ///< O(log n) push/pop; best below ~2^16 pending events
+    kBinaryHeap,  ///< the default: an implicit 4-ary min-heap (the name
+                  ///< is historical); O(log n) push/pop, and per-hold cost
+                  ///< still above ladder's at 2^16 pending events
     kCalendar,    ///< O(1) amortized bucketed wheel; flat scaling to n >> 2^20
     kLadder,      ///< lazy multi-tier bucket ladder; O(1) amortized, sorts
                   ///< only the imminent events (skewed/far-future schedules)

@@ -11,9 +11,11 @@
 /// *independently of the implementation behind the interface*. Three
 /// implementations are provided:
 ///
-///   - BinaryHeapQueue: a plain binary min-heap. O(log n) push/pop with a
-///     small constant; throughput degrades ~10x from 1k to 1M pending
-///     events as the heap outgrows the caches.
+///   - BinaryHeapQueue: an implicit 4-ary min-heap with hole sifts (the
+///     name is historical). O(log n) push/pop with a small constant; the
+///     cost per hold still grows with the pending count once the heap
+///     outgrows the caches (perfbench's hold probe at 2^16 pending:
+///     ~166 ns, against ~70 ns for the ladder, on a 4-vCPU host).
 ///   - CalendarQueue: a bucketed wheel with dynamic resize and bucket-width
 ///     estimation (Brown '88; the ns-3 CalendarScheduler family). O(1)
 ///     amortized push/pop, flat scaling into the n >> 2^20 regime.
@@ -101,7 +103,15 @@ protected:
     }
 };
 
-/// Min-heap keyed on (time, seq) — the original EventQueue implementation.
+/// Implicit 4-ary min-heap keyed on (time, seq), the default kind. The
+/// name is historical: the original EventQueue was a binary heap, and
+/// QueueKind::kBinaryHeap / "heap" still name this class. Both sifts move
+/// a hole instead of swapping: push moves parents down into the hole and
+/// writes the new entry once; pop takes back() out, moves the smallest of
+/// up to four children up into the hole and writes back() once where it
+/// stops. Four children per node halve the depth of a binary heap, so a
+/// pop from a heap that has outgrown the caches (the leader shard holds
+/// tens of thousands of pending signals) visits half as many levels.
 template <typename Payload>
 class BinaryHeapQueue final : public SchedulerQueue<Payload> {
 public:
@@ -115,16 +125,50 @@ public:
     }
 
     void push(Time time, Payload payload) override {
-        heap_.push_back(Entry{time, next_seq_++, std::move(payload)});
-        sift_up(heap_.size() - 1);
+        Entry entry{time, next_seq_++, std::move(payload)};
+        std::size_t hole = heap_.size();
+        // Most events are later than their parent: append in place.
+        if (hole == 0 || !entry_less(entry, heap_[parent_of(hole)])) {
+            heap_.push_back(std::move(entry));
+            return;
+        }
+        // The new slot takes the first parent (through a local, since
+        // push_back may reallocate under a reference into heap_); the rest
+        // move down in place.
+        std::size_t parent = parent_of(hole);
+        Entry moved = std::move(heap_[parent]);
+        heap_.push_back(std::move(moved));
+        hole = parent;
+        while (hole > 0) {
+            parent = parent_of(hole);
+            if (!entry_less(entry, heap_[parent])) break;
+            heap_[hole] = std::move(heap_[parent]);
+            hole = parent;
+        }
+        heap_[hole] = std::move(entry);
     }
 
     Entry pop() override {
         PAPC_CHECK(!heap_.empty());
-        Entry top = std::move(heap_.front());
-        heap_.front() = std::move(heap_.back());
+        Entry last = std::move(heap_.back());
         heap_.pop_back();
-        if (!heap_.empty()) sift_down(0);
+        if (heap_.empty()) return last;
+        Entry top = std::move(heap_.front());
+        const std::size_t n = heap_.size();
+        std::size_t hole = 0;
+        for (;;) {
+            const std::size_t first = kArity * hole + 1;
+            if (first >= n) break;
+            const std::size_t end = std::min(first + kArity, n);
+            std::size_t least = first;
+            for (std::size_t child = first + 1; child < end; ++child) {
+                if (entry_less(heap_[child], heap_[least])) least = child;
+            }
+            if (!entry_less(heap_[least], last)) break;
+            heap_[hole] = std::move(heap_[least]);
+            hole = least;
+        }
+        heap_[hole] = std::move(last);
         return top;
     }
 
@@ -141,31 +185,10 @@ public:
 private:
     using SchedulerQueue<Payload>::entry_less;
 
-    void sift_up(std::size_t i) {
-        while (i > 0) {
-            const std::size_t parent = (i - 1) / 2;
-            if (!entry_less(heap_[i], heap_[parent])) break;
-            std::swap(heap_[i], heap_[parent]);
-            i = parent;
-        }
-    }
+    static constexpr std::size_t kArity = 4;
 
-    void sift_down(std::size_t i) {
-        const std::size_t n = heap_.size();
-        for (;;) {
-            const std::size_t left = 2 * i + 1;
-            const std::size_t right = 2 * i + 2;
-            std::size_t smallest = i;
-            if (left < n && entry_less(heap_[left], heap_[smallest])) {
-                smallest = left;
-            }
-            if (right < n && entry_less(heap_[right], heap_[smallest])) {
-                smallest = right;
-            }
-            if (smallest == i) break;
-            std::swap(heap_[i], heap_[smallest]);
-            i = smallest;
-        }
+    [[nodiscard]] static std::size_t parent_of(std::size_t i) {
+        return (i - 1) / kArity;
     }
 
     std::vector<Entry> heap_;
@@ -461,8 +484,10 @@ private:
 ///   - rung recursion is capped at kMaxRungs, after which buckets are
 ///     sorted directly (graceful degradation to an insertion-sorted list);
 ///   - a Bottom below kBottomMax entries skips rung spawning entirely, so
-///     small schedules (the per-shard executor queues with ~2 pending
-///     events per node) never pay the ladder machinery.
+///     small schedules never pay the ladder machinery. The executor's
+///     shard queues are not small: each of the 8 shards holds ~2n/8
+///     pending ticks and exchanges, and the leader's shard ~n more
+///     in-flight signals, so they do run the rungs.
 template <typename Payload>
 class LadderQueue final : public SchedulerQueue<Payload> {
 public:

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "support/random.hpp"
@@ -366,6 +368,202 @@ TEST(SchedulerQueueEquivalence, DrainAndRefillCycles) {
             EXPECT_TRUE(other->empty());
         }
     }
+}
+
+// ---------------------------------------------------- independent oracle
+
+/// Naive reference queue: a flat vector whose minimum is found with
+/// std::min_element under the (time, seq) order. It shares no code with
+/// any implementation, so it checks the heap as well as the other kinds
+/// (the equivalence tests above only compare the others with the heap).
+class OracleQueue {
+public:
+    using Entry = SchedulerEntry<int>;
+
+    void push(Time time, int payload) {
+        pending_.push_back(Entry{time, next_seq_++, payload});
+    }
+
+    Entry pop() {
+        const auto least = std::min_element(pending_.begin(), pending_.end(), earlier);
+        const Entry entry = *least;
+        *least = pending_.back();
+        pending_.pop_back();
+        return entry;
+    }
+
+    /// Like SchedulerQueue::clear: the seq stream is not reset.
+    void clear() { pending_.clear(); }
+
+    [[nodiscard]] std::size_t size() const { return pending_.size(); }
+    [[nodiscard]] std::uint64_t pushed() const { return next_seq_; }
+
+private:
+    static bool earlier(const Entry& a, const Entry& b) {
+        return a.time < b.time || (a.time == b.time && a.seq < b.seq);
+    }
+
+    std::vector<Entry> pending_;
+    std::uint64_t next_seq_ = 0;
+};
+
+/// Pops one entry from both and demands the same (time, seq, payload);
+/// also checks next_time() against the popped time and the sizes after.
+void expect_same_pop(IntQueue& queue, OracleQueue& oracle, const std::string& context) {
+    ASSERT_EQ(queue.size(), oracle.size()) << context;
+    ASSERT_FALSE(queue.empty()) << context;
+    const Time peek = queue.next_time();
+    const auto want = oracle.pop();
+    const auto got = queue.pop();
+    ASSERT_EQ(got.time, want.time) << context;
+    ASSERT_EQ(peek, want.time) << context;
+    ASSERT_EQ(got.seq, want.seq) << context;
+    ASSERT_EQ(got.payload, want.payload) << context;
+    ASSERT_EQ(queue.size(), oracle.size()) << context;
+}
+
+/// Times on a grid of `1 / grid` over [now, now + span): coarse grids make
+/// exact ties between separate pushes common.
+double grid_time(Rng& rng, double now, double span, double grid) {
+    return now + std::floor(rng.uniform(0.0, span) * grid) / grid;
+}
+
+TEST(SchedulerQueueOracle, RandomInterleavingsWithExactTies) {
+    for (const QueueKind kind : all_kinds()) {
+        for (const std::uint64_t seed : {201U, 202U, 203U}) {
+            const auto queue = make_scheduler_queue<int>(kind);
+            OracleQueue oracle;
+            Rng rng(seed);
+            const std::string context =
+                std::string(to_string(kind)) + " seed " + std::to_string(seed);
+            // Push bias moves from growth (0.7) to shrinkage (0.4) so the
+            // size sweeps up and back down through many heap depths.
+            double now = 0.0;
+            for (int op = 0; op < 20000; ++op) {
+                const double push_bias = op < 10000 ? 0.7 : 0.4;
+                if (oracle.size() == 0 || rng.uniform() < push_bias) {
+                    const double t = grid_time(rng, now, 2.0, 4.0);
+                    queue->push(t, op);
+                    oracle.push(t, op);
+                } else {
+                    now = queue->next_time();
+                    ASSERT_NO_FATAL_FAILURE(expect_same_pop(*queue, oracle, context))
+                        << "op " << op;
+                }
+            }
+            while (oracle.size() > 0) {
+                ASSERT_NO_FATAL_FAILURE(expect_same_pop(*queue, oracle, context));
+            }
+            EXPECT_TRUE(queue->empty());
+            EXPECT_EQ(queue->pushed(), oracle.pushed());
+        }
+    }
+}
+
+TEST(SchedulerQueueOracle, EveryPartialLastChildGroup) {
+    // Sizes 1..40 and 1021..1028 leave the last child group of a 4-ary
+    // heap with 0, 1, 2 and 3 missing members; each is filled, drained
+    // half-way with a push after every pop, then drained to empty.
+    std::vector<int> sizes;
+    for (int size = 1; size <= 40; ++size) sizes.push_back(size);
+    for (int size = 1021; size <= 1028; ++size) sizes.push_back(size);
+    for (const QueueKind kind : all_kinds()) {
+        for (const int size : sizes) {
+            const auto queue = make_scheduler_queue<int>(kind);
+            OracleQueue oracle;
+            Rng rng(300 + static_cast<std::uint64_t>(size));
+            for (int i = 0; i < size; ++i) {
+                const double t = grid_time(rng, 0.0, 4.0, 2.0);
+                queue->push(t, i);
+                oracle.push(t, i);
+            }
+            const std::string context =
+                std::string(to_string(kind)) + " size " + std::to_string(size);
+            for (int i = 0; i < size / 2; ++i) {
+                const double now = queue->next_time();
+                ASSERT_NO_FATAL_FAILURE(expect_same_pop(*queue, oracle, context));
+                const double t = grid_time(rng, now, 4.0, 2.0);
+                queue->push(t, size + i);
+                oracle.push(t, size + i);
+            }
+            while (oracle.size() > 0) {
+                ASSERT_NO_FATAL_FAILURE(expect_same_pop(*queue, oracle, context));
+            }
+            EXPECT_TRUE(queue->empty()) << context;
+        }
+    }
+}
+
+TEST(SchedulerQueueOracle, DrainToEmptyAndClearThenReuse) {
+    for (const QueueKind kind : all_kinds()) {
+        const auto queue = make_scheduler_queue<int>(kind);
+        OracleQueue oracle;
+        Rng rng(401);
+        int payload = 0;
+        double now = 0.0;
+        for (int cycle = 0; cycle < 12; ++cycle) {
+            const int fill = 5 + 37 * cycle;
+            for (int i = 0; i < fill; ++i) {
+                const double t = grid_time(rng, now, 3.0, 4.0);
+                queue->push(t, payload);
+                oracle.push(t, payload);
+                ++payload;
+            }
+            const std::string context =
+                std::string(to_string(kind)) + " cycle " + std::to_string(cycle);
+            if (cycle % 2 == 0) {
+                // Drain to empty; the next fill starts behind the front.
+                while (oracle.size() > 0) {
+                    now = queue->next_time();
+                    ASSERT_NO_FATAL_FAILURE(expect_same_pop(*queue, oracle, context));
+                }
+                now = std::max(0.0, now - 1.0);
+            } else {
+                // Pop a few, then clear: the seq stream carries on.
+                for (int i = 0; i < fill / 3; ++i) {
+                    ASSERT_NO_FATAL_FAILURE(expect_same_pop(*queue, oracle, context));
+                }
+                queue->clear();
+                oracle.clear();
+            }
+            ASSERT_TRUE(queue->empty()) << context;
+            ASSERT_EQ(queue->pushed(), oracle.pushed()) << context;
+        }
+    }
+}
+
+TEST(SchedulerQueueOracle, HeapMoveOnlyPayloadsSurviveHoldAndRefill) {
+    // Each payload owns an int equal to its seq; a pop that returned a
+    // moved-from entry would hand back a null pointer (and under ASan, any
+    // double ownership would be reported).
+    BinaryHeapQueue<std::unique_ptr<int>> heap;
+    Rng rng(501);
+    Time prev_time = -1.0;
+    std::uint64_t prev_seq = 0;
+    const auto push = [&heap](Time time) {
+        heap.push(time, std::make_unique<int>(static_cast<int>(heap.pushed())));
+    };
+    const auto pop_checked = [&] {
+        const auto entry = heap.pop();
+        ASSERT_NE(entry.payload, nullptr) << "seq " << entry.seq;
+        ASSERT_EQ(*entry.payload, static_cast<int>(entry.seq));
+        ASSERT_TRUE(entry.time > prev_time ||
+                    (entry.time == prev_time && entry.seq > prev_seq));
+        prev_time = entry.time;
+        prev_seq = entry.seq;
+    };
+    // Hold: a steady population where every pop schedules one new event.
+    for (int i = 0; i < 1000; ++i) push(grid_time(rng, 0.0, 10.0, 4.0));
+    for (int i = 0; i < 20000; ++i) {
+        ASSERT_NO_FATAL_FAILURE(pop_checked());
+        push(grid_time(rng, prev_time, 10.0, 4.0));
+    }
+    // Drain and refill through sizes with every residue mod 4.
+    for (int fill = 1; fill <= 67; fill += 3) {
+        while (!heap.empty()) ASSERT_NO_FATAL_FAILURE(pop_checked());
+        for (int i = 0; i < fill; ++i) push(grid_time(rng, prev_time, 2.0, 4.0));
+    }
+    while (!heap.empty()) ASSERT_NO_FATAL_FAILURE(pop_checked());
 }
 
 }  // namespace
