@@ -331,6 +331,9 @@ std::vector<std::string> validate(const Scenario& scenario) {
     if (scenario.protocol.empty()) complain("protocol must be non-empty");
     if (scenario.n < 2) complain("n must be >= 2");
     if (scenario.k < 2) complain("k must be >= 2");
+    // The generation schedules take log_k n (analysis/theory), so the
+    // engines would abort on n <= k instead of returning an error.
+    if (scenario.k >= scenario.n) complain("k must be < n");
     if (!(scenario.alpha >= 1.0) || !std::isfinite(scenario.alpha)) {
         complain("alpha must be >= 1");
     }

@@ -199,28 +199,6 @@ double Rng::lognormal(double mu, double sigma) {
     return std::exp(normal(mu, sigma));
 }
 
-std::uint64_t Rng::poisson(double mean) {
-    PAPC_CHECK(mean >= 0.0);
-    if (mean == 0.0) return 0;
-    if (mean < 30.0) {
-        // Knuth: multiply uniforms until the product drops below e^-mean.
-        const double limit = std::exp(-mean);
-        std::uint64_t count = 0;
-        double product = uniform();
-        while (product > limit) {
-            ++count;
-            product *= uniform();
-        }
-        return count;
-    }
-    // Normal approximation with resampling of negatives; adequate for the
-    // large-mean uses in this library (batching of clock ticks).
-    for (;;) {
-        const double x = normal(mean, std::sqrt(mean));
-        if (x >= 0.0) return static_cast<std::uint64_t>(x + 0.5);
-    }
-}
-
 std::uint64_t Rng::binomial(std::uint64_t n, double p) {
     PAPC_CHECK(p >= 0.0 && p <= 1.0);
     if (n == 0 || p == 0.0) return 0;

@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "async/simulation.hpp"
@@ -206,6 +207,26 @@ TEST(ProtocolRegistry, CheckRejectsUnknownProtocolAndBadK) {
     const std::vector<std::string> problems = registry.check(s);
     ASSERT_FALSE(problems.empty());
     EXPECT_NE(problems.front().find("requires k"), std::string::npos);
+}
+
+TEST(ProtocolRegistry, CheckRejectsAtLeastAsManyOpinionsAsNodes) {
+    // The engines' generation schedules take log_k n and would abort on
+    // n <= k, so check() must reject it for every protocol.
+    const ProtocolRegistry& registry = ProtocolRegistry::instance();
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>> n_k = {
+        {100, 200}, {64, 64}, {2, 2}};
+    for (const std::string& name : registry.names()) {
+        for (const auto& [n, k] : n_k) {
+            Scenario s = tiny_scenario(name, k);
+            s.n = n;
+            const std::vector<std::string> problems = registry.check(s);
+            EXPECT_TRUE(std::any_of(problems.begin(), problems.end(),
+                                    [](const std::string& p) {
+                                        return p == "k must be < n";
+                                    }))
+                << name << " n=" << n << " k=" << k;
+        }
+    }
 }
 
 TEST(ProtocolRegistry, WrapperDoesNotPerturbTheAsyncRngStream) {

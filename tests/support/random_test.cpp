@@ -140,30 +140,6 @@ TEST(Rng, WeibullShapeOneIsExponential) {
     EXPECT_NEAR(s.mean(), 2.0, 0.05);
 }
 
-TEST(Rng, PoissonSmallMean) {
-    Rng rng(14);
-    RunningStat s;
-    for (int i = 0; i < 100000; ++i) {
-        s.add(static_cast<double>(rng.poisson(3.0)));
-    }
-    EXPECT_NEAR(s.mean(), 3.0, 0.05);
-    EXPECT_NEAR(s.variance(), 3.0, 0.1);
-}
-
-TEST(Rng, PoissonLargeMean) {
-    Rng rng(15);
-    RunningStat s;
-    for (int i = 0; i < 20000; ++i) {
-        s.add(static_cast<double>(rng.poisson(500.0)));
-    }
-    EXPECT_NEAR(s.mean(), 500.0, 2.0);
-}
-
-TEST(Rng, PoissonZeroMean) {
-    Rng rng(16);
-    EXPECT_EQ(rng.poisson(0.0), 0U);
-}
-
 TEST(Rng, BinomialSmall) {
     Rng rng(17);
     RunningStat s;

@@ -6,6 +6,8 @@ Asserts, in order:
      including the v2 whole-program rules: D7 colliding substream labels,
      D8 unsafe shard captures, and the L1 cycle / L2 upward-include tree
      fixtures linted as self-contained mini-repos via --tree,
+  1d. L3: in the l3_unreachable tree exactly the unreached src/ files are
+     flagged, a justified allow(L3) suppresses, a bare one is SUPP,
   2. the justified-suppression fixtures lint clean (exit 0),
   3. the unjustified-suppression fixture reports SUPP only,
   4. per-directory profiles: the same D3 fixture that fails as engine
@@ -16,8 +18,9 @@ Asserts, in order:
      cannot be silently disabled by a bad layers.toml,
   8. the real tree (via this build's compile database) lints clean —
      the repo's determinism contracts hold with zero unexplained
-     exceptions, the include graph is acyclic, and every include edge is
-     layer-conformant.
+     exceptions, the include graph is acyclic, every include edge is
+     layer-conformant, and every src/ file is reachable from an entry
+     point.
 """
 
 import argparse
@@ -55,7 +58,9 @@ FIXTURE_EXPECTATIONS = {
 }
 
 # fixture tree -> expected rule-ID set (linted whole via --tree, which
-# runs the layer-graph pass against the committed layers.toml).
+# runs the layer-graph pass against the committed layers.toml). Each tree
+# carries an examples/ root so L3 stays quiet except where it is the
+# rule under test.
 TREE_EXPECTATIONS = {
     "l1_cycle": {"L1"},
     "l2_upward": {"L2"},
@@ -132,6 +137,34 @@ def main():
     check(proc.returncode == 0 and not ids,
           f"l2_allowed vs [[allow]] manifest: edge whitelisted "
           f"(exit {proc.returncode}, ids {sorted(ids)})")
+
+    # 1d: L3 per file. examples/main.cpp reaches used.hpp and, through
+    # the header, used.cpp; orphan.{hpp,cpp} are unreached; justified.hpp
+    # and bare.hpp are unreached but suppressed, bare.hpp without a reason.
+    l3_tree = f"{args.fixtures}/l3_unreachable"
+    with tempfile.TemporaryDirectory() as tmp:
+        report_path = os.path.join(tmp, "report.json")
+        proc, ids = run_lint(args.lint,
+                             ["--tree", l3_tree, "--json", report_path])
+        with open(report_path, encoding="utf-8") as handle:
+            findings = json.load(handle).get("findings", [])
+    by_file = {}
+    for f in findings:
+        by_file.setdefault(f["file"], set()).add((f["rule"], f["status"]))
+    expected = {
+        "src/support/orphan.hpp": {("L3", "violation")},
+        "src/support/orphan.cpp": {("L3", "violation")},
+        "src/support/justified.hpp": {("L3", "suppressed")},
+        "src/support/bare.hpp": {("L3", "suppressed"),
+                                 ("SUPP", "violation")},
+    }
+    check(by_file == expected,
+          f"--tree l3_unreachable: findings {sorted(by_file.items())} == "
+          f"{sorted(expected.items())}")
+    check(proc.returncode == 1 and ids == {"L3", "SUPP"}
+          and all(f["line"] == 1 for f in findings if f["rule"] == "L3"),
+          f"--tree l3_unreachable: exit {proc.returncode} == 1, "
+          f"ids {sorted(ids)} == ['L3', 'SUPP'], L3 anchored at line 1")
 
     # 4: per-directory profiles relax engine-only rules outside src/.
     for name, as_dir in PROFILE_EXPECTATIONS:

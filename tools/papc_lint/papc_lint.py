@@ -8,8 +8,8 @@ new code from quietly breaking them: iterating an unordered_map into a
 result, constructing a private std::mt19937, merging shard state in
 pool-completion order — or, since v2, failure modes no single translation
 unit can exhibit: an include cycle, an engine reaching "up" through the
-layer graph, or two call sites deriving colliding Rng substreams. The tool
-runs two kinds of passes:
+layer graph, src/ code that no entry point uses, or two call sites
+deriving colliding Rng substreams. The tool runs two kinds of passes:
 
 Per-file rules (token patterns on comment/string-blanked lines):
 
@@ -73,13 +73,19 @@ Whole-program passes (need the full target set, not one file):
                           point strictly DOWN the committed layer manifest
                           (tools/papc_lint/layers.toml: support -> opinion
                           -> core -> fault -> sim -> analysis -> engines ->
-                          graph -> runner -> api -> tests/bench/examples/
-                          tools). Same-rank layers (the four engine
-                          families) may not include each other. A file not
-                          covered by the manifest is itself an L2 finding,
-                          so new directories cannot bypass the map. The
+                          runner -> api -> tests/bench/examples/tools).
+                          Same-rank layers (the four engine families) may
+                          not include each other. A file not covered by
+                          the manifest is itself an L2 finding, so new
+                          directories cannot bypass the map. The
                           manifest's [[allow]] entries whitelist individual
                           layer edges with a mandatory reason.
+  L3 unreachable-source   Every src/ file must be reachable through the
+                          include graph from an entry point: the roots are
+                          every file under src/api/, bench/ and examples/
+                          (tests do not count), and a src/x/y.cpp is
+                          reached when src/x/y.hpp is. Code only a test
+                          uses is dead weight; delete it or justify it.
   D7 substream-collision  Every Rng::substream(a, b) call site is
                           extracted across all TUs, constant labels are
                           resolved (including constexpr channel tags like
@@ -103,7 +109,8 @@ Suppressions: `// papc-lint: allow(D3): <justification>` on the violating
 line, or on its own line to cover the next code line. The justification
 after the colon is mandatory — an allow() without one is itself reported
 (rule SUPP). For D7 the pair is cleared when either colliding site is
-suppressed; for L1/L2 the anchor is the offending #include line.
+suppressed; for L1/L2 the anchor is the offending #include line, for
+L3 line 1 of the unreached file.
 
 Usage:
   papc_lint.py --compdb <builddir|compile_commands.json>   whole-program
@@ -158,6 +165,7 @@ RULE_NAMES = {
     "D8": "shard-capture",
     "L1": "include-cycle",
     "L2": "layer-violation",
+    "L3": "unreachable-source",
     "SUPP": "suppression-justification",
 }
 NAME_TO_ID = {name: rule_id for rule_id, name in RULE_NAMES.items()}
@@ -168,7 +176,7 @@ NAME_TO_ID = {name: rule_id for rule_id, name in RULE_NAMES.items()}
 # purpose. bench/ and examples/ are user-facing consumer code: they keep
 # the container/SIMD/clock hygiene rules and the shard-capture rule (a
 # racy example teaches the race), but not the engine-internal fault/
-# substream layering rules. The whole-program layer pass (L1/L2) is not
+# substream layering rules. The whole-program layer pass (L1-L3) is not
 # listed here — it runs on the full include graph regardless.
 PROFILES = {
     "src": {"D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "SUPP"},
@@ -886,6 +894,9 @@ def extract_pool_lambda_violations(relpath, index):
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 
+# L3 entry points: what a user builds or calls. Tests do not count.
+REACHABILITY_ROOTS = ("src/api/", "bench/", "examples/")
+
 
 class LayerManifest:
     def __init__(self, layers, allowed):
@@ -1039,6 +1050,23 @@ class IncludeGraph:
                 dfs(node)
         return cycles
 
+    def reachable_from(self, roots):
+        """Every file reachable from `roots` along include edges, where a
+        reached src/x/y.hpp also reaches its src/x/y.cpp."""
+        reached = set()
+        stack = list(roots)
+        while stack:
+            node = stack.pop()
+            if node in reached:
+                continue
+            reached.add(node)
+            stack.extend(self.edges.get(node, {}))
+            if node.endswith(".hpp"):
+                twin = node[:-len(".hpp")] + ".cpp"
+                if twin in self.edges:
+                    stack.append(twin)
+        return reached
+
     def layer_edges(self):
         """Condensed (from_layer, to_layer) -> count view, manifest applied
         by the caller."""
@@ -1047,7 +1075,7 @@ class IncludeGraph:
 
 
 def check_layers(graph, manifest, lint_targets):
-    """L1 + L2 violations over the include graph."""
+    """L1 + L2 + L3 violations over the include graph."""
     violations = []
     for cycle, anchor, line in graph.find_cycles():
         path_text = " -> ".join(cycle)
@@ -1092,6 +1120,17 @@ def check_layers(graph, manifest, lint_targets):
                     f"'{src_layer}' and '{dst_layer}': sibling layers "
                     f"(e.g. the engine families) stay mutually "
                     f"independent"))
+
+    reached = graph.reachable_from(
+        f for f in graph.edges if f.startswith(REACHABILITY_ROOTS))
+    for src_file in sorted(graph.edges):
+        if src_file.startswith("src/") and src_file not in reached:
+            violations.append(Violation(
+                src_file, 1, 1, "L3",
+                "unreachable source: no file under src/api/, bench/ or "
+                "examples/ reaches it through includes (tests do not "
+                "count; a .cpp is reached with its .hpp); delete it, or "
+                "justify it with an inline allow(L3)"))
     return violations
 
 
@@ -1317,7 +1356,7 @@ def main(argv):
     parser = argparse.ArgumentParser(
         prog="papc_lint",
         description="determinism + architecture lint for papc "
-                    "(rules D1-D8, L1-L2; see --list-rules)")
+                    "(rules D1-D8, L1-L3; see --list-rules)")
     parser.add_argument("--compdb", metavar="BUILDDIR",
                         help="build dir (or compile_commands.json); lints "
                              "the whole repo (src/tests/bench/examples) "
