@@ -454,6 +454,56 @@ BENCHMARK(BM_WindowedExecutorHold)
     ->Arg(2)
     ->Arg(4);
 
+// The hold model with one emission in four sent as a cross-shard signal
+// (the leader-signal pattern of the event engines): every hold event
+// re-emits itself, and every third one also signals the next shard. The
+// signal handler only counts, as a leader's does. Prices the signal lane
+// (outbox, barrier append, per-window sort) against the queue path of
+// BM_WindowedExecutorHold.
+void BM_WindowedExecutorSignals(benchmark::State& state) {
+    constexpr std::uint32_t kSignalBit = 1U << 31;
+    const auto threads = static_cast<std::size_t>(state.range(0));
+    sim::WindowedOptions options;
+    options.threads = threads;
+    options.reserve_hint = kHoldPending;
+    sim::WindowedExecutor<std::uint32_t> executor(kHoldNodes, options,
+                                                  Rng(15));
+    {
+        Rng seed_rng(16);
+        for (std::size_t i = 0; i < kHoldPending; ++i) {
+            const auto node = static_cast<std::uint32_t>(i % kHoldNodes);
+            executor.seed(executor.shard_of(node),
+                          seed_rng.exponential(1.0), node);
+        }
+    }
+    std::vector<std::uint64_t> signals(executor.num_shards(), 0);
+    const auto handler = [&](auto& ctx, sim::Time t, std::uint32_t payload) {
+        if ((payload & kSignalBit) != 0) {
+            ++signals[ctx.shard()];
+            return;
+        }
+        const auto target =
+            static_cast<std::uint32_t>(ctx.rng().uniform_index(kHoldNodes));
+        ctx.emit(executor.shard_of(target), t + ctx.rng().exponential(1.0),
+                 target);
+        if (target % 3 == 0) {
+            ctx.signal((ctx.shard() + 1) % executor.num_shards(),
+                       t + ctx.rng().exponential(1.0), target | kSignalBit);
+        }
+    };
+    for (auto _ : state) {
+        executor.run_window(handler);
+    }
+    benchmark::DoNotOptimize(signals.data());
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(executor.events_processed()));
+}
+BENCHMARK(BM_WindowedExecutorSignals)
+    ->ArgName("threads")
+    ->UseRealTime()
+    ->Arg(1)
+    ->Arg(2);
+
 // Fault-layer pricing (PR 9), args {mode}: 0 = no injector (the PR 8
 // baseline path), 1 = a zero-rate plan attached (prices the fast-path
 // branch the fault layer adds — acceptance: within 2% of mode 0),

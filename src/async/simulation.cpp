@@ -66,7 +66,7 @@ bool SingleLeaderSimulation::advance() {
                     }
                     // Line 1: 0-signal to the leader — fire and forget, but
                     // the signal itself travels one latency draw.
-                    ctx.emit_message(
+                    ctx.signal_message(
                         kLeaderShard, t, t + latency_->sample(rng),
                         AsyncEvent{AsyncEventKind::kZeroSignal, 0, 0, 0, 0});
                     // Line 2: locked nodes do nothing else at this tick.
@@ -138,7 +138,7 @@ bool SingleLeaderSimulation::advance() {
                             // Corruption rewrites the generation payload
                             // downward into [1, gen] — an adversarially
                             // garbled but protocol-legal signal.
-                            ctx.emit_message(
+                            ctx.signal_message(
                                 kLeaderShard, t, t + latency_->sample(rng),
                                 AsyncEvent{AsyncEventKind::kGenSignal, 0, 0,
                                            0, v.gen},

@@ -72,8 +72,8 @@ bool ValidatedSingleLeaderSimulation::advance() {
                     {
                         ValidatedEvent sig;
                         sig.kind = ValidatedEventKind::kZeroSignal;
-                        ctx.emit_message(kLeaderShard, t, t + signal_delay(),
-                                         sig);
+                        ctx.signal_message(kLeaderShard, t,
+                                           t + signal_delay(), sig);
                     }
                     if (!v.locked) {
                         v.locked = true;
@@ -176,7 +176,7 @@ bool ValidatedSingleLeaderSimulation::advance() {
                                 ValidatedEvent sig;
                                 sig.kind = ValidatedEventKind::kGenSignal;
                                 sig.gen = v.gen;
-                                ctx.emit_message(
+                                ctx.signal_message(
                                     kLeaderShard, t, t + signal_delay(), sig,
                                     [](Rng& fault_rng, ValidatedEvent& msg) {
                                         msg.gen = static_cast<Generation>(

@@ -185,7 +185,7 @@ bool MultiLeaderSimulation::advance() {
                         sig.sig_i = 0;
                         sig.sig_s = LeaderState::kPropagation;  // ignored, i == 0
                         sig.sig_changed = false;
-                        ctx.emit_message(
+                        ctx.signal_message(
                             leader_shard(static_cast<std::size_t>(my_cluster)),
                             t, t + latency_.sample(rng), sig);
                     }
@@ -310,7 +310,7 @@ bool MultiLeaderSimulation::advance() {
                         sig.sig_changed = d.signal.has_changed;
                         // Corruption rewrites the counted generation downward
                         // (always protocol-legal: leaders accept any i <= gen).
-                        ctx.emit_message(
+                        ctx.signal_message(
                             leader_shard(static_cast<std::size_t>(my_cluster)),
                             t, t + latency_.sample(rng), sig,
                             [](Rng& fault_rng, ClusterEvent& msg) {

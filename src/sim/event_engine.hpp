@@ -18,6 +18,9 @@
 ///   - an event for node v runs on v's shard and writes only v's state and
 ///     its shard's counters and census moves;
 ///   - peer and leader reads go through window-start snapshots;
+///   - a message whose handler only bumps leader counters goes out through
+///     ShardContext::signal_message(), off the scheduler queue (contract
+///     item 5 in windowed_executor.hpp);
 ///   - census moves merge in shard order at the barrier;
 ///   - the injector derives from the run generator through the pure
 ///     substream, so an inactive plan leaves the tape byte-identical.
@@ -166,9 +169,9 @@ protected:
 
     /// The windowed executor for `Event` over `n` nodes from the config's
     /// shard, thread, window and queue knobs, with the injector attached,
-    /// on `rng`; sizes the census-move buffers to its shards. Pending
-    /// events stay near 2 per node (next tick + one in-flight exchange or
-    /// signal).
+    /// on `rng`; sizes the census-move buffers to its shards. Queued
+    /// events stay near 2 per node (next tick + one in-flight exchange;
+    /// signals wait outside the queues).
     template <typename Event>
     [[nodiscard]] std::unique_ptr<WindowedExecutor<Event>> make_executor(
         const EventConfig& config, std::size_t n, const Rng& rng) {

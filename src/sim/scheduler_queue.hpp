@@ -110,8 +110,8 @@ protected:
 /// writes the new entry once; pop takes back() out, moves the smallest of
 /// up to four children up into the hole and writes back() once where it
 /// stops. Four children per node halve the depth of a binary heap, so a
-/// pop from a heap that has outgrown the caches (the leader shard holds
-/// tens of thousands of pending signals) visits half as many levels.
+/// pop from a heap that has outgrown the caches (each executor shard
+/// holds ~2n/8 pending ticks and exchanges) visits half as many levels.
 template <typename Payload>
 class BinaryHeapQueue final : public SchedulerQueue<Payload> {
 public:
@@ -486,8 +486,8 @@ private:
 ///   - a Bottom below kBottomMax entries skips rung spawning entirely, so
 ///     small schedules never pay the ladder machinery. The executor's
 ///     shard queues are not small: each of the 8 shards holds ~2n/8
-///     pending ticks and exchanges, and the leader's shard ~n more
-///     in-flight signals, so they do run the rungs.
+///     pending ticks and exchanges (leader signals bypass the queues),
+///     so they do run the rungs.
 template <typename Payload>
 class LadderQueue final : public SchedulerQueue<Payload> {
 public:

@@ -36,6 +36,20 @@
 ///      delivered at the barrier on the driving thread, iterating shards
 ///      in index order and each outbox in emission order, so the target
 ///      queue's seq tie-break stream is reproducible.
+///   5. A *signal* (ShardContext::signal / signal_message) is an emission
+///      whose handler draws nothing from ctx.rng(), emits nothing, and
+///      writes only state that no event of the same window reads (a
+///      leader's counters, which exchanges read through window-start
+///      snapshots). Signals skip the SchedulerQueue: they collect in a
+///      per-shard vector, same-shard ones at once and cross-shard ones
+///      through a signal outbox delivered at the barrier like item 4.
+///      After a shard drains its queue for the window it runs the
+///      signals timestamped before the window end, ordered by time with
+///      ties in append order. Append order is the order a queue would
+///      have assigned seq in, so the signals run in the exact (time, seq)
+///      order they would have popped in; and because no event of the
+///      window reads what they write, running them after the queue
+///      changes no result.
 ///
 /// Window semantics engines must code against (and tests pin):
 ///   - An event with timestamp exactly T_min + delta belongs to the NEXT
@@ -56,8 +70,8 @@
 /// Handler discipline for parallel safety: an event for node v is handled
 /// by shard_of(v) and may WRITE only state owned by that shard (v's node
 /// state, the shard's scratch counters); it may READ remote state only
-/// from snapshots taken between windows. ShardContext::emit() is the only
-/// cross-shard channel.
+/// from snapshots taken between windows. ShardContext::emit() and
+/// ShardContext::signal() are the only cross-shard channels.
 
 #include <algorithm>
 #include <cstdint>
@@ -97,11 +111,12 @@ struct WindowedOptions {
     double window = 0.0;      ///< delta; <= 0 = default_window(lambda)
     double lambda = 1.0;      ///< channel rate used by the auto window
     QueueKind queue_kind = QueueKind::kBinaryHeap;
-    std::size_t reserve_hint = 0;  ///< expected concurrently-pending events
+    std::size_t reserve_hint = 0;  ///< expected concurrently-queued events
     /// Optional fault injector (borrowed; must outlive the executor).
     /// Message-level faults apply only to emissions routed through
-    /// ShardContext::emit_message(); nullptr or an inactive plan keeps
-    /// the delivery path byte-identical to the fault-free executor.
+    /// ShardContext::emit_message() or signal_message(); nullptr or an
+    /// inactive plan keeps the delivery path byte-identical to the
+    /// fault-free executor.
     const fault::Injector* injector = nullptr;
 };
 
@@ -155,7 +170,7 @@ public:
 
     [[nodiscard]] bool empty() const {
         for (const auto& lane : lanes_) {
-            if (!lane->queue->empty()) return false;
+            if (!lane->queue->empty() || !lane->signals.empty()) return false;
         }
         return true;
     }
@@ -173,20 +188,21 @@ public:
     [[nodiscard]] std::uint64_t stragglers() const { return stragglers_; }
 
     /// Executes one window: picks the globally earliest pending timestamp
-    /// T_min, processes every shard's events in [T_min, T_min + delta) in
-    /// parallel, then delivers cross-shard outboxes in shard order.
-    /// Returns false (running nothing) when no events are pending.
-    /// handler(ctx, time, event) must follow the ownership discipline in
-    /// the file comment.
+    /// T_min (events and signals), processes every shard's events in
+    /// [T_min, T_min + delta) in parallel — queue first, then signals —
+    /// and delivers cross-shard outboxes in shard order. Returns false
+    /// (running nothing) when nothing is pending. handler(ctx, time, event)
+    /// must follow the ownership discipline in the file comment.
     template <typename Handler>
     bool run_window(Handler&& handler) {
-        Time t_min = std::numeric_limits<Time>::infinity();
+        Time t_min = kNever;
         for (const auto& lane : lanes_) {
             if (!lane->queue->empty()) {
                 t_min = std::min(t_min, lane->queue->next_time());
             }
+            t_min = std::min(t_min, lane->signal_min);
         }
-        if (!(t_min < std::numeric_limits<Time>::infinity())) return false;
+        if (!(t_min < kNever)) return false;
 
         const Time w_end = t_min + window_;
         window_end_ = w_end;
@@ -211,6 +227,7 @@ public:
                 ++lane.processed;
                 handler(ctx, entry.time, entry.payload);
             }
+            if (lane.signal_min < w_end) run_signals(lane, ctx, w_end, handler);
         };
         if (pool_ == nullptr) {
             for (std::size_t s = 0; s < shards_; ++s) body(s, 0);
@@ -227,6 +244,11 @@ public:
                 lanes_[msg.shard]->queue->push(msg.time, std::move(msg.event));
             }
             lane->outbox.clear();
+            for (auto& msg : lane->signal_outbox) {
+                if (msg.time < w_end) ++stragglers_;
+                lanes_[msg.shard]->add_signal(msg.time, std::move(msg.event));
+            }
+            lane->signal_outbox.clear();
             events_ += lane->processed;
             now_ = std::max(now_, lane->last_time);
             if (message_faults_on_) {
@@ -247,8 +269,15 @@ public:
     }
 
 private:
+    static constexpr Time kNever = std::numeric_limits<Time>::infinity();
+
     struct Outgoing {
         std::size_t shard;
+        Time time;
+        Event event;
+    };
+
+    struct Signal {
         Time time;
         Event event;
     };
@@ -258,17 +287,126 @@ private:
     struct Lane {
         std::unique_ptr<SchedulerQueue<Event>> queue;
         std::vector<Outgoing> outbox;
+        /// Pending signals in append order (contract item 5).
+        std::vector<Signal> signals;
+        Time signal_min = kNever;  ///< earliest time in `signals`
+        std::vector<Outgoing> signal_outbox;
+        /// run_signals() scratch: the due signals' indices, the same
+        /// sorted, and the bucket offsets that sort them.
+        std::vector<std::uint32_t> due;
+        std::vector<std::uint32_t> order;
+        std::vector<std::uint32_t> buckets;
         Rng rng{0};
         Rng fault_rng{0};  ///< per-window message-fault substream
         fault::FaultCounters faults;  ///< folded at the barrier
         std::uint64_t processed = 0;
         Time last_time = 0.0;
+
+        void add_signal(Time time, Event event) {
+            signal_min = std::min(signal_min, time);
+            signals.push_back(Signal{time, std::move(event)});
+        }
     };
+
+    /// Runs `lane`'s signals timestamped before `w_end` in (time, append
+    /// index) order — the (time, seq) order a queue would pop them in,
+    /// since append order is the order a queue would have assigned seq
+    /// in — then drops them, keeping the rest in append order.
+    template <typename Handler>
+    void run_signals(Lane& lane, ShardContext& ctx, Time w_end,
+                     Handler& handler) {
+        std::vector<Signal>& pending = lane.signals;
+        PAPC_CHECK(pending.size() <= std::numeric_limits<std::uint32_t>::max());
+        lane.due.clear();
+        for (std::size_t i = 0; i < pending.size(); ++i) {
+            if (pending[i].time < w_end) {
+                lane.due.push_back(static_cast<std::uint32_t>(i));
+            }
+        }
+        sort_by_time(pending, lane.due, lane.buckets, lane.order);
+        ctx.draining_signals_ = true;
+        for (const std::uint32_t i : lane.order) {
+            handler(ctx, pending[i].time, pending[i].event);
+        }
+        ctx.draining_signals_ = false;
+        lane.processed += lane.due.size();
+        lane.last_time =
+            std::max(lane.last_time, pending[lane.order.back()].time);
+
+        std::size_t kept = 0;
+        Time kept_min = kNever;
+        for (std::size_t i = 0; i < pending.size(); ++i) {
+            if (pending[i].time < w_end) continue;
+            kept_min = std::min(kept_min, pending[i].time);
+            if (kept != i) pending[kept] = std::move(pending[i]);
+            ++kept;
+        }
+        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(kept),
+                      pending.end());
+        lane.signal_min = kept_min;
+    }
+
+    /// Writes `due` (ascending indices into `signals`) to `order` sorted
+    /// by (time, index). A counting pass drops each index into one of
+    /// due.size() equal-width time buckets, in index order; an insertion
+    /// pass then orders each bucket. A window's signal times spread near
+    /// uniformly, so a bucket holds about one signal and this runs in
+    /// linear time, where a comparison sort pays a mispredicted branch per
+    /// compare (4x slower on the async leader's ~4,000 due signals per
+    /// window). Times that cluster into few buckets fall back to std::sort.
+    static void sort_by_time(const std::vector<Signal>& signals,
+                             const std::vector<std::uint32_t>& due,
+                             std::vector<std::uint32_t>& buckets,
+                             std::vector<std::uint32_t>& order) {
+        const std::size_t count = due.size();
+        order.assign(due.begin(), due.end());
+        Time lo = kNever;
+        Time hi = -kNever;
+        for (const std::uint32_t i : due) {
+            lo = std::min(lo, signals[i].time);
+            hi = std::max(hi, signals[i].time);
+        }
+        if (!(lo < hi)) return;  // one time: index order is the order
+        const double scale = static_cast<double>(count) / (hi - lo);
+        const auto bucket = [&](std::uint32_t i) {
+            const double b = (signals[i].time - lo) * scale;
+            return b < static_cast<double>(count) ? static_cast<std::size_t>(b)
+                                                  : count - 1;
+        };
+        buckets.assign(count + 1, 0);
+        for (const std::uint32_t i : due) ++buckets[bucket(i) + 1];
+        for (std::size_t b = 1; b <= count; ++b) buckets[b] += buckets[b - 1];
+        for (const std::uint32_t i : due) order[buckets[bucket(i)]++] = i;
+
+        const auto before = [&](std::uint32_t a, std::uint32_t b) {
+            return signals[a].time < signals[b].time ||
+                   (signals[a].time == signals[b].time && a < b);
+        };
+        std::size_t moves = 0;
+        for (std::size_t k = 1; k < count; ++k) {
+            const std::uint32_t x = order[k];
+            std::size_t j = k;
+            for (; j > 0 && before(x, order[j - 1]); --j) {
+                order[j] = order[j - 1];
+            }
+            order[j] = x;
+            moves += k - j;
+            if (moves > 4 * count) {
+                std::sort(order.begin(), order.end(), before);
+                return;
+            }
+        }
+    }
 
 public:
     /// What an event handler sees: its shard's substream, its shard index,
-    /// and the only legal cross-shard channel.
+    /// and the only legal cross-shard channels.
     class ShardContext {
+        /// emit_message()'s default: corruption rewrites nothing.
+        struct KeepPayload {
+            void operator()(Rng& /*fault_rng*/, Event& /*event*/) const {}
+        };
+
     public:
         ShardContext(WindowedExecutor& executor, Lane& lane, std::size_t shard)
             : executor_(executor), lane_(lane), shard_(shard) {}
@@ -284,6 +422,7 @@ public:
         /// processed this window when time < window_end()); cross-shard
         /// emissions buffer in the outbox until the barrier.
         void emit(std::size_t target, Time time, Event event) {
+            PAPC_CHECK(!draining_signals_);
             if (target == shard_) {
                 lane_.queue->push(time, std::move(event));
             } else {
@@ -292,20 +431,67 @@ public:
             }
         }
 
+        /// Schedules `event` at `time` on `target` shard as a signal
+        /// (contract item 5: its handler draws nothing, emits nothing and
+        /// writes nothing the window reads). A same-shard signal with
+        /// time < window_end() still runs this window, after the queue; a
+        /// cross-shard one waits for the barrier like emit().
+        void signal(std::size_t target, Time time, Event event) {
+            PAPC_CHECK(!draining_signals_);
+            if (target == shard_) {
+                lane_.add_signal(time, std::move(event));
+            } else {
+                lane_.signal_outbox.push_back(
+                    Outgoing{target, time, std::move(event)});
+            }
+        }
+
         /// Schedules a *message* — an emission that models a network send
         /// from `send_time` arriving at `arrive_time` — through the fault
         /// layer: it may be dropped, duplicated, corrupted
-        /// (`corrupt(fault_rng, event)` rewrites the payload in place), or
-        /// straggler-inflated (arrival stretched by the drawn multiplier).
-        /// Self-events (ticks, exchange completions) must stay on emit():
-        /// faults model the network, not a node's own clock. With no
-        /// active injector this is exactly emit(target, arrive_time, ...).
-        template <typename CorruptFn>
+        /// (`corrupt(fault_rng, event)` rewrites the payload in place;
+        /// without `corrupt`, corruption still counts a fault draw but
+        /// rewrites nothing), or straggler-inflated (arrival stretched by
+        /// the drawn multiplier). Self-events (ticks, exchange completions)
+        /// must stay on emit(): faults model the network, not a node's own
+        /// clock. With no active injector this is exactly
+        /// emit(target, arrive_time, ...).
+        template <typename CorruptFn = KeepPayload>
         void emit_message(std::size_t target, Time send_time,
                           Time arrive_time, Event event,
-                          CorruptFn&& corrupt) {
+                          CorruptFn&& corrupt = {}) {
+            send_message<false>(target, send_time, arrive_time,
+                                std::move(event), corrupt);
+        }
+
+        /// emit_message() delivered as a signal(): the same fault draws,
+        /// then signal() in place of emit().
+        template <typename CorruptFn = KeepPayload>
+        void signal_message(std::size_t target, Time send_time,
+                            Time arrive_time, Event event,
+                            CorruptFn&& corrupt = {}) {
+            send_message<true>(target, send_time, arrive_time,
+                               std::move(event), corrupt);
+        }
+
+    private:
+        friend class WindowedExecutor;
+
+        template <bool kSignal>
+        void deliver(std::size_t target, Time time, Event event) {
+            if constexpr (kSignal) {
+                signal(target, time, std::move(event));
+            } else {
+                emit(target, time, std::move(event));
+            }
+        }
+
+        /// The one fault path of emit_message() and signal_message().
+        template <bool kSignal, typename CorruptFn>
+        void send_message(std::size_t target, Time send_time,
+                          Time arrive_time, Event event, CorruptFn& corrupt) {
             if (!executor_.message_faults_on_) {
-                emit(target, arrive_time, std::move(event));
+                deliver<kSignal>(target, arrive_time, std::move(event));
                 return;
             }
             const fault::MessageFate fate =
@@ -327,23 +513,15 @@ public:
             if (fate.duplicate) {
                 ++lane_.faults.duplicated;
                 Event copy = event;
-                emit(target, at, std::move(copy));
+                deliver<kSignal>(target, at, std::move(copy));
             }
-            emit(target, at, std::move(event));
+            deliver<kSignal>(target, at, std::move(event));
         }
 
-        /// Message emission with an uncorruptible payload (corruption
-        /// still counts a fault draw, but rewrites nothing).
-        void emit_message(std::size_t target, Time send_time,
-                          Time arrive_time, Event event) {
-            emit_message(target, send_time, arrive_time, std::move(event),
-                         [](Rng&, Event&) {});
-        }
-
-    private:
         WindowedExecutor& executor_;
         Lane& lane_;
         std::size_t shard_;
+        bool draining_signals_ = false;  ///< run_signals() is running
     };
 
 private:

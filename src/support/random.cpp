@@ -199,53 +199,6 @@ double Rng::lognormal(double mu, double sigma) {
     return std::exp(normal(mu, sigma));
 }
 
-std::uint64_t Rng::binomial(std::uint64_t n, double p) {
-    PAPC_CHECK(p >= 0.0 && p <= 1.0);
-    if (n == 0 || p == 0.0) return 0;
-    if (p == 1.0) return n;
-    if (p > 0.5) return n - binomial(n, 1.0 - p);
-    const double np = static_cast<double>(n) * p;
-    if (np < 30.0) {
-        // Inversion by sequential search over the CDF (small np only).
-        const double q = 1.0 - p;
-        const double s = p / q;
-        double f = std::pow(q, static_cast<double>(n));
-        double u = uniform();
-        std::uint64_t x = 0;
-        while (u > f && x < n) {
-            u -= f;
-            ++x;
-            f *= s * (static_cast<double>(n - x + 1) / static_cast<double>(x));
-        }
-        return x;
-    }
-    // Normal approximation with continuity correction, clamped.
-    const double sigma = std::sqrt(np * (1.0 - p));
-    for (;;) {
-        const double x = normal(np, sigma);
-        if (x >= -0.5 && x <= static_cast<double>(n) + 0.5) {
-            const double rounded = std::floor(x + 0.5);
-            return static_cast<std::uint64_t>(rounded < 0.0 ? 0.0 : rounded);
-        }
-    }
-}
-
-std::size_t Rng::discrete(const std::vector<double>& weights) {
-    PAPC_CHECK(!weights.empty());
-    double total = 0.0;
-    for (const double w : weights) {
-        PAPC_CHECK(w >= 0.0);
-        total += w;
-    }
-    PAPC_CHECK(total > 0.0);
-    double target = uniform() * total;
-    for (std::size_t i = 0; i + 1 < weights.size(); ++i) {
-        if (target < weights[i]) return i;
-        target -= weights[i];
-    }
-    return weights.size() - 1;
-}
-
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) {
     std::uint64_t sm = base ^ (0x632be59bd9b4e019ULL * (index + 1));
     (void)splitmix64(sm);

@@ -143,14 +143,6 @@ public:
     /// Log-normal: exp(Normal(mu, sigma)).
     double lognormal(double mu, double sigma);
 
-    /// Binomial(n, p) — exact by inversion for small n·p, normal
-    /// approximation with continuity correction clamped to [0, n] otherwise.
-    std::uint64_t binomial(std::uint64_t n, double p);
-
-    /// Samples an index in [0, weights.size()) proportionally to weights.
-    /// Linear scan; intended for small weight vectors (k opinions).
-    std::size_t discrete(const std::vector<double>& weights);
-
     /// Fisher–Yates shuffle of an index range stored in `v`.
     template <typename T>
     void shuffle(std::vector<T>& v) {

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
+
+#include "fault/injector.hpp"
+#include "fault/plan.hpp"
 
 namespace papc::sim {
 namespace {
@@ -11,8 +15,10 @@ namespace {
 // Pins the WindowedExecutor's window semantics — the contract the four
 // event-driven engine families code against (see the header comment):
 // half-open windows, empty-stretch skipping, straggler delivery at the
-// barrier, per-window substreams labeled by a monotone counter, and
-// thread-count-invariant trajectories.
+// barrier, per-window substreams labeled by a monotone counter,
+// thread-count-invariant trajectories, and the signal lane (contract
+// item 5). Negative payloads mark signals in the mixed workloads: their
+// handler draws nothing and emits nothing, as the contract requires.
 
 WindowedOptions options(std::size_t shards, double window,
                         std::size_t threads = 1) {
@@ -177,7 +183,7 @@ TEST(WindowedExecutor, TrajectoryInvariantAcrossThreadCounts) {
                    payload == o.payload && draw == o.draw;
         }
     };
-    const auto run = [](std::size_t threads) {
+    const auto run = [](std::size_t threads, bool signals) {
         WindowedExecutor<int> executor(64, options(4, 0.5, threads), Rng(11));
         // Per-shard tapes: shards run concurrently, so each writes its
         // own vector; folding in shard order is deterministic.
@@ -187,6 +193,10 @@ TEST(WindowedExecutor, TrajectoryInvariantAcrossThreadCounts) {
                           static_cast<int>(s));
         }
         const auto handler = [&](auto& ctx, Time t, int payload) {
+            if (payload < 0) {
+                tapes[ctx.shard()].push_back(Step{ctx.shard(), t, payload, 0});
+                return;
+            }
             const std::uint64_t draw = ctx.rng().next_u64();
             tapes[ctx.shard()].push_back(Step{ctx.shard(), t, payload, draw});
             if (payload < 40) {
@@ -194,6 +204,12 @@ TEST(WindowedExecutor, TrajectoryInvariantAcrossThreadCounts) {
                 const std::size_t target = (ctx.shard() + 1) % 4;
                 ctx.emit(target, t + 0.05 + 1e-3 * (draw % 7), payload + 4);
                 ctx.emit(ctx.shard(), t + 0.2, payload + 5);
+                if (signals) {
+                    // One leader shard, signalled from every shard: some
+                    // land in this window, some are stragglers.
+                    ctx.signal(0, t + 1e-2 * static_cast<double>(draw % 9),
+                               -payload - 1);
+                }
             }
         };
         while (executor.run_window(handler)) {
@@ -205,18 +221,21 @@ TEST(WindowedExecutor, TrajectoryInvariantAcrossThreadCounts) {
         return tape;
     };
 
-    const std::vector<Step> t1 = run(1);
-    const std::vector<Step> t2 = run(2);
-    const std::vector<Step> t8 = run(8);
-    ASSERT_FALSE(t1.empty());
-    EXPECT_EQ(t1, t2);
-    EXPECT_EQ(t1, t8);
+    for (const bool signals : {false, true}) {
+        SCOPED_TRACE(signals ? "with signals" : "events only");
+        const std::vector<Step> t1 = run(1, signals);
+        const std::vector<Step> t2 = run(2, signals);
+        const std::vector<Step> t8 = run(8, signals);
+        ASSERT_FALSE(t1.empty());
+        EXPECT_EQ(t1, t2);
+        EXPECT_EQ(t1, t8);
+    }
 }
 
 TEST(WindowedExecutor, WorksWithEveryQueueKind) {
     // The executor is queue-kind agnostic: identical tapes whichever
     // SchedulerQueue implementation backs the shards.
-    const auto run = [](QueueKind kind) {
+    const auto run = [](QueueKind kind, bool signals) {
         WindowedOptions o = options(2, 1.0);
         o.queue_kind = kind;
         WindowedExecutor<int> executor(16, o, Rng(13));
@@ -224,18 +243,254 @@ TEST(WindowedExecutor, WorksWithEveryQueueKind) {
         std::vector<int> seen;
         const auto handler = [&](auto& ctx, Time t, int payload) {
             seen.push_back(payload);
-            if (payload < 20) {
+            if (payload >= 0 && payload < 20) {
                 ctx.emit(payload % 2, t + 0.3, payload + 1);
+                if (signals) ctx.signal(0, t + 0.2, -payload - 1);
             }
         };
         while (executor.run_window(handler)) {
         }
         return seen;
     };
-    const std::vector<int> heap = run(QueueKind::kBinaryHeap);
-    EXPECT_EQ(heap, run(QueueKind::kCalendar));
-    EXPECT_EQ(heap, run(QueueKind::kLadder));
-    ASSERT_EQ(heap.size(), 21U);
+    for (const bool signals : {false, true}) {
+        SCOPED_TRACE(signals ? "with signals" : "events only");
+        const std::vector<int> heap = run(QueueKind::kBinaryHeap, signals);
+        EXPECT_EQ(heap, run(QueueKind::kCalendar, signals));
+        EXPECT_EQ(heap, run(QueueKind::kLadder, signals));
+        ASSERT_EQ(heap.size(), signals ? 41U : 21U);
+    }
+}
+
+// ---------------------------------------------------------- signal lane
+
+TEST(WindowedExecutor, SameShardSignalInsideWindowRunsAfterTheQueue) {
+    // A same-shard signal timestamped before the window end runs in this
+    // window, after every queue event of the window — even queue events
+    // later than the signal. One past the window end waits for the next.
+    WindowedExecutor<int> executor(8, options(1, 1.0), Rng(21));
+    executor.seed(0, 0.0, 1);
+    std::vector<int> seen;
+    const auto handler = [&](auto& ctx, Time t, int payload) {
+        seen.push_back(payload);
+        if (payload == 1) {
+            ctx.signal(0, t + 0.75, -2);  // inside, later than event 2
+            ctx.signal(0, t + 0.1, -1);   // inside, earlier than event 2
+            ctx.emit(0, t + 0.5, 2);
+            ctx.signal(0, t + 1.5, -3);  // beyond the window: next one
+        }
+    };
+
+    ASSERT_TRUE(executor.run_window(handler));
+    EXPECT_EQ(seen, (std::vector<int>{1, 2, -1, -2}));
+    EXPECT_DOUBLE_EQ(executor.now(), 0.75);  // the latest signal counts
+    EXPECT_EQ(executor.events_processed(), 4U);
+    ASSERT_TRUE(executor.run_window(handler));
+    EXPECT_EQ(seen, (std::vector<int>{1, 2, -1, -2, -3}));
+    EXPECT_DOUBLE_EQ(executor.now(), 1.5);
+    EXPECT_EQ(executor.stragglers(), 0U);
+    EXPECT_TRUE(executor.empty());
+}
+
+TEST(WindowedExecutor, CrossShardSignalInsideWindowIsAStraggler) {
+    // Like a cross-shard emit: delivered at the barrier, counted as a
+    // straggler, run in the next window, which opens at its timestamp.
+    WindowedExecutor<int> executor(8, options(2, 1.0), Rng(22));
+    executor.seed(0, 0.0, 1);
+    std::vector<int> seen;
+    const auto handler = [&](auto& ctx, Time t, int payload) {
+        seen.push_back(payload);
+        if (payload == 1) ctx.signal(1, t + 0.25, -1);
+    };
+
+    ASSERT_TRUE(executor.run_window(handler));
+    EXPECT_EQ(seen, (std::vector<int>{1}));
+    EXPECT_EQ(executor.stragglers(), 1U);
+
+    ASSERT_TRUE(executor.run_window(handler));
+    EXPECT_EQ(seen, (std::vector<int>{1, -1}));
+    EXPECT_DOUBLE_EQ(executor.window_end(), 1.25);
+    EXPECT_EQ(executor.stragglers(), 1U);
+}
+
+TEST(WindowedExecutor, SignalTimeTiesRunInPushOrder) {
+    // Equal timestamps run in push order — same-shard appends, then the
+    // barrier's in source-shard order, then later windows' — which is the
+    // (time, seq) order a queue gives the same emissions.
+    const auto run = [](bool signals) {
+        WindowedExecutor<int> executor(8, options(2, 1.0), Rng(23));
+        executor.seed(0, 0.0, 0);
+        executor.seed(1, 0.0, 1);
+        executor.seed(0, 1.5, 2);
+        std::vector<int> seen;
+        const auto handler = [&](auto& ctx, Time /*t*/, int payload) {
+            seen.push_back(payload);
+            if (payload < 0) return;
+            for (int i = 0; i < 2; ++i) {
+                const int leaf = -(100 * (payload + 1) + i);
+                if (signals) {
+                    ctx.signal(0, 2.0, leaf);
+                } else {
+                    ctx.emit(0, 2.0, leaf);
+                }
+            }
+        };
+        while (executor.run_window(handler)) {
+        }
+        return seen;
+    };
+    const std::vector<int> queued = run(false);
+    EXPECT_EQ(queued,
+              (std::vector<int>{0, 1, 2, -100, -101, -200, -201, -300, -301}));
+    EXPECT_EQ(run(true), queued);
+}
+
+TEST(WindowedExecutor, SignalsRunInTheOrderAQueueWouldPopThem) {
+    // Many signals per window, sent as signals or as plain emits to a
+    // shard that runs nothing else: the tapes match for spread-out times
+    // (about one per sort bucket), rounded times (exact ties) and times
+    // crowded into a sliver of the window (most in one bucket).
+    const auto spread = [](Rng& rng) { return rng.uniform() * 3.0; };
+    const auto rounded = [](Rng& rng) {
+        return static_cast<double>(rng.uniform_index(12)) * 0.25;
+    };
+    const auto crowded = [](Rng& rng) {
+        return rng.uniform_index(50) == 0 ? 2.5 : 1.0 + rng.uniform() * 1e-9;
+    };
+    const auto run = [](bool signals, const auto& draw_time) {
+        WindowedExecutor<int> executor(8, options(2, 1.0), Rng(28));
+        for (int i = 0; i < 4; ++i) executor.seed(0, 0.1 * i, i);
+        std::vector<std::pair<Time, int>> tape;
+        int next = 0;
+        const auto handler = [&](auto& ctx, Time t, int payload) {
+            if (ctx.shard() == 1) {
+                tape.emplace_back(t, payload);
+                return;
+            }
+            for (int k = 0; k < 500; ++k) {
+                const Time at = t + draw_time(ctx.rng());
+                if (signals) {
+                    ctx.signal(1, at, --next);
+                } else {
+                    ctx.emit(1, at, --next);
+                }
+            }
+        };
+        while (executor.run_window(handler)) {
+        }
+        return tape;
+    };
+    const auto check = [&](const char* label, const auto& draw_time) {
+        SCOPED_TRACE(label);
+        const auto queued = run(false, draw_time);
+        ASSERT_EQ(queued.size(), 2000U);
+        EXPECT_EQ(run(true, draw_time), queued);
+    };
+    check("spread", spread);
+    check("rounded", rounded);
+    check("crowded", crowded);
+}
+
+TEST(WindowedExecutor, PendingSignalsAloneKeepTheRunGoing) {
+    // With every queue empty, a pending signal still sets T_min, keeps
+    // empty() false and gets its window.
+    WindowedExecutor<int> executor(8, options(2, 1.0), Rng(24));
+    executor.seed(0, 0.0, 1);
+    std::vector<int> seen;
+    const auto handler = [&](auto& ctx, Time t, int payload) {
+        seen.push_back(payload);
+        if (payload == 1) ctx.signal(1, t + 5.0, -1);
+    };
+
+    ASSERT_TRUE(executor.run_window(handler));
+    EXPECT_FALSE(executor.empty());
+    ASSERT_TRUE(executor.run_window(handler));
+    EXPECT_DOUBLE_EQ(executor.window_end(), 6.0);
+    EXPECT_DOUBLE_EQ(executor.now(), 5.0);
+    EXPECT_EQ(seen, (std::vector<int>{1, -1}));
+    EXPECT_TRUE(executor.empty());
+    EXPECT_FALSE(executor.run_window(handler));
+    EXPECT_EQ(executor.events_processed(), 2U);
+    EXPECT_EQ(executor.stragglers(), 0U);
+}
+
+TEST(WindowedExecutor, SignalMessageDrawsTheSameFatesAsEmitMessage) {
+    // signal_message() and emit_message() share one fault path: the same
+    // fault draws drop, duplicate, corrupt and delay the same messages.
+    fault::FaultPlan plan;
+    plan.loss = 0.2;
+    plan.duplication = 0.2;
+    plan.corruption = 0.2;
+    plan.straggler_fraction = 0.2;
+    const fault::Injector injector(plan, 16, 100.0, Rng(25));
+    struct Delivery {
+        Time time;
+        int payload;
+        bool operator==(const Delivery& o) const {
+            return time == o.time && payload == o.payload;
+        }
+    };
+    const auto run = [&](bool signals) {
+        WindowedOptions o = options(2, 1.0);
+        o.injector = &injector;
+        WindowedExecutor<int> executor(16, o, Rng(26));
+        for (int i = 0; i < 64; ++i) executor.seed(0, 0.1 * i, i);
+        std::vector<Delivery> delivered;
+        const auto corrupt = [](Rng& /*fault_rng*/, int& msg) { msg += 1000; };
+        const auto handler = [&](auto& ctx, Time t, int payload) {
+            if (ctx.shard() == 1) {
+                delivered.push_back(Delivery{t, payload});
+                return;
+            }
+            if (signals) {
+                ctx.signal_message(1, t, t + 0.3, -payload - 1, corrupt);
+            } else {
+                ctx.emit_message(1, t, t + 0.3, -payload - 1, corrupt);
+            }
+        };
+        while (executor.run_window(handler)) {
+        }
+        return std::make_pair(delivered, executor.fault_counters());
+    };
+    const auto [queued, queued_faults] = run(false);
+    const auto [signalled, signalled_faults] = run(true);
+    EXPECT_EQ(signalled, queued);
+    EXPECT_GT(queued_faults.lost, 0U);
+    EXPECT_GT(queued_faults.duplicated, 0U);
+    EXPECT_GT(queued_faults.corrupted, 0U);
+    EXPECT_GT(queued_faults.delayed, 0U);
+    EXPECT_EQ(signalled_faults.lost, queued_faults.lost);
+    EXPECT_EQ(signalled_faults.duplicated, queued_faults.duplicated);
+    EXPECT_EQ(signalled_faults.corrupted, queued_faults.corrupted);
+    EXPECT_EQ(signalled_faults.delayed, queued_faults.delayed);
+}
+
+using WindowedExecutorDeathTest = ::testing::Test;
+
+TEST(WindowedExecutorDeathTest, EmittingWhileRunningSignalsAborts) {
+    // A signal's handler emits nothing (contract item 5): every emission
+    // channel checks it.
+    const auto run = [](auto emit_from_signal) {
+        WindowedExecutor<int> executor(8, options(1, 1.0), Rng(27));
+        executor.seed(0, 0.0, 1);
+        const auto handler = [&](auto& ctx, Time t, int payload) {
+            if (payload == 1) {
+                ctx.signal(0, t + 0.5, -1);
+            } else if (payload == -1) {
+                emit_from_signal(ctx, t);
+            }
+        };
+        while (executor.run_window(handler)) {
+        }
+    };
+    EXPECT_DEATH(run([](auto& ctx, Time t) { ctx.emit(0, t, 2); }),
+                 "PAPC_CHECK failed");
+    EXPECT_DEATH(run([](auto& ctx, Time t) { ctx.signal(0, t, -2); }),
+                 "PAPC_CHECK failed");
+    EXPECT_DEATH(run([](auto& ctx, Time t) { ctx.emit_message(0, t, t, 2); }),
+                 "PAPC_CHECK failed");
+    EXPECT_DEATH(
+        run([](auto& ctx, Time t) { ctx.signal_message(0, t, t, -2); }),
+        "PAPC_CHECK failed");
 }
 
 }  // namespace

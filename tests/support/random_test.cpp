@@ -140,46 +140,6 @@ TEST(Rng, WeibullShapeOneIsExponential) {
     EXPECT_NEAR(s.mean(), 2.0, 0.05);
 }
 
-TEST(Rng, BinomialSmall) {
-    Rng rng(17);
-    RunningStat s;
-    for (int i = 0; i < 50000; ++i) {
-        const auto x = rng.binomial(20, 0.25);
-        EXPECT_LE(x, 20U);
-        s.add(static_cast<double>(x));
-    }
-    EXPECT_NEAR(s.mean(), 5.0, 0.05);
-}
-
-TEST(Rng, BinomialLarge) {
-    Rng rng(18);
-    RunningStat s;
-    for (int i = 0; i < 20000; ++i) {
-        const auto x = rng.binomial(100000, 0.4);
-        EXPECT_LE(x, 100000U);
-        s.add(static_cast<double>(x));
-    }
-    EXPECT_NEAR(s.mean(), 40000.0, 20.0);
-}
-
-TEST(Rng, BinomialEdgeCases) {
-    Rng rng(19);
-    EXPECT_EQ(rng.binomial(0, 0.5), 0U);
-    EXPECT_EQ(rng.binomial(10, 0.0), 0U);
-    EXPECT_EQ(rng.binomial(10, 1.0), 10U);
-}
-
-TEST(Rng, DiscreteFollowsWeights) {
-    Rng rng(20);
-    const std::vector<double> weights{1.0, 3.0, 6.0};
-    std::vector<int> counts(3, 0);
-    const int trials = 100000;
-    for (int i = 0; i < trials; ++i) ++counts[rng.discrete(weights)];
-    EXPECT_NEAR(counts[0] / static_cast<double>(trials), 0.1, 0.01);
-    EXPECT_NEAR(counts[1] / static_cast<double>(trials), 0.3, 0.01);
-    EXPECT_NEAR(counts[2] / static_cast<double>(trials), 0.6, 0.01);
-}
-
 TEST(Rng, ShufflePreservesElements) {
     Rng rng(21);
     std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
