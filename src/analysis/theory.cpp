@@ -16,11 +16,6 @@ double log_alpha_pow_plus(double alpha, std::uint32_t k, unsigned i) {
     return log_add_exp(log_alpha_pow, std::log(static_cast<double>(k - 1)));
 }
 
-double log_bias_after_generations(double alpha, unsigned i) {
-    PAPC_CHECK(alpha >= 1.0);
-    return std::ldexp(std::log(alpha), static_cast<int>(i));
-}
-
 unsigned generations_to_reach_bias(double alpha, double target) {
     PAPC_CHECK(alpha > 1.0);
     PAPC_CHECK(target > 1.0);

@@ -16,10 +16,6 @@ namespace papc::analysis {
 /// for i ≳ 10 even with modest α).
 [[nodiscard]] double log_alpha_pow_plus(double alpha, std::uint32_t k, unsigned i);
 
-/// Idealized (error-free) bias after i generations: min(α^(2^i), cap).
-/// Returned in natural-log form to avoid overflow.
-[[nodiscard]] double log_bias_after_generations(double alpha, unsigned i);
-
 /// Corollary 10: number of generations for the bias to exceed k, i.e. the
 /// smallest i with α^(2^i) > k; equals ceil(log2(log k / log α)) with
 /// degenerate cases handled (α > k already, k < 2).

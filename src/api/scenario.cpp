@@ -1,7 +1,9 @@
 #include "api/scenario.hpp"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "support/parse.hpp"
 
@@ -30,288 +32,158 @@ bool try_parse_workload(const std::string& name, Workload* out) {
 
 namespace {
 
-struct FieldSpec {
-    const char* name;
-    const char* help;
-    std::string (*set)(Scenario&, const std::string&);
-    std::string (*get)(const Scenario&);
-};
+// The per-type rules behind every table row: parse_value (strict; on
+// rejection *out keeps its value), text_of (the get_field and --help form)
+// and write_value (the JSON form).
 
-std::string bad_value(const char* field, const std::string& value,
-                      const char* expected) {
-    return std::string("invalid value '") + value + "' for field '" + field +
-           "' (expected " + expected + ")";
+bool parse_value(const std::string& v, std::string* out) {
+    if (!v.empty()) *out = v;
+    return !v.empty();
 }
 
-std::string format_double_field(double value) {
+/// size_t, u64 and u32 (which rejects values above 0xFFFFFFFF).
+template <typename T>
+std::enable_if_t<std::is_unsigned_v<T>, bool> parse_value(const std::string& v,
+                                                          T* out) {
+    std::uint64_t parsed = 0;
+    if (!try_parse_u64(v, &parsed)) return false;
+    if constexpr (sizeof(T) < sizeof(parsed)) {
+        if (parsed > std::numeric_limits<T>::max()) return false;
+    }
+    *out = static_cast<T>(parsed);
+    return true;
+}
+
+bool parse_value(const std::string& v, double* out) { return try_parse_double(v, out); }
+bool parse_value(const std::string& v, bool* out) { return try_parse_bool(v, out); }
+bool parse_value(const std::string& v, Workload* out) {
+    return try_parse_workload(v, out);
+}
+bool parse_value(const std::string& v, fault::ByzantinePolicy* out) {
+    return fault::try_parse_byzantine_policy(v, out);
+}
+bool parse_value(const std::string& v, sim::QueueKind* out) {
+    const auto parsed = sim::try_parse_queue_kind(v);
+    if (parsed.has_value()) *out = *parsed;
+    return parsed.has_value();
+}
+
+std::string text_of(const std::string& value) { return value; }
+std::string text_of(bool value) { return value ? "true" : "false"; }
+std::string text_of(double value) {
     std::ostringstream out;
     out << value;
     return out.str();
 }
+template <typename T>
+std::string text_of(T value) {
+    if constexpr (std::is_enum_v<T>) return to_string(value);  // api::, sim::, fault::
+    else return std::to_string(value);
+}
 
-// One row per Scenario field. The macro-free table is verbose but keeps
-// every field's parse/print/help in one place.
-const FieldSpec kFields[] = {
-    {"protocol", "protocol name from the registry (see --list-protocols)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (v.empty()) return bad_value("protocol", v, "a protocol name");
-         s.protocol = v;
-         return {};
-     },
-     [](const Scenario& s) { return s.protocol; }},
-    {"n", "population size",
-     [](Scenario& s, const std::string& v) -> std::string {
-         std::uint64_t parsed = 0;
-         if (!try_parse_u64(v, &parsed)) {
-             return bad_value("n", v, "a non-negative integer");
-         }
-         s.n = static_cast<std::size_t>(parsed);
-         return {};
-     },
-     [](const Scenario& s) { return std::to_string(s.n); }},
-    {"k", "number of opinions",
-     [](Scenario& s, const std::string& v) -> std::string {
-         std::uint64_t parsed = 0;
-         if (!try_parse_u64(v, &parsed) || parsed > 0xFFFFFFFFULL) {
-             return bad_value("k", v, "a non-negative integer");
-         }
-         s.k = static_cast<std::uint32_t>(parsed);
-         return {};
-     },
-     [](const Scenario& s) { return std::to_string(s.k); }},
-    {"alpha", "initial multiplicative bias of opinion 0",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_double(v, &s.alpha)) {
-             return bad_value("alpha", v, "a number");
-         }
-         return {};
-     },
-     [](const Scenario& s) { return format_double_field(s.alpha); }},
-    {"workload", "biased | two-front-runners | gap | uniform | zipf",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_workload(v, &s.workload)) {
-             return bad_value("workload", v,
-                              "biased, two-front-runners, gap, uniform or zipf");
-         }
-         return {};
-     },
-     [](const Scenario& s) { return std::string(to_string(s.workload)); }},
-    {"zipf-s", "Zipf exponent (workload=zipf)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_double(v, &s.zipf_s)) {
-             return bad_value("zipf-s", v, "a number");
-         }
-         return {};
-     },
-     [](const Scenario& s) { return format_double_field(s.zipf_s); }},
-    {"gap", "additive gap in nodes (workload=gap; 0 = n/10)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         std::uint64_t parsed = 0;
-         if (!try_parse_u64(v, &parsed)) {
-             return bad_value("gap", v, "a non-negative integer");
-         }
-         s.gap = static_cast<std::size_t>(parsed);
-         return {};
-     },
-     [](const Scenario& s) { return std::to_string(s.gap); }},
-    {"tail-fraction", "background mass (workload=two-front-runners)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_double(v, &s.tail_fraction)) {
-             return bad_value("tail-fraction", v, "a number");
-         }
-         return {};
-     },
-     [](const Scenario& s) { return format_double_field(s.tail_fraction); }},
-    {"lambda", "channel-establishment rate (async/cluster families)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_double(v, &s.lambda)) {
-             return bad_value("lambda", v, "a number");
-         }
-         return {};
-     },
-     [](const Scenario& s) { return format_double_field(s.lambda); }},
-    {"msg-rate", "per-message rate (validated protocol)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_double(v, &s.msg_rate)) {
-             return bad_value("msg-rate", v, "a number");
-         }
-         return {};
-     },
-     [](const Scenario& s) { return format_double_field(s.msg_rate); }},
-    {"gamma", "generation-density threshold (sync Algorithm 1)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_double(v, &s.gamma)) {
-             return bad_value("gamma", v, "a number");
-         }
-         return {};
-     },
-     [](const Scenario& s) { return format_double_field(s.gamma); }},
-    {"threads", "intra-run worker threads (sync + event-driven families; "
-                "results identical at any count)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         std::uint64_t parsed = 0;
-         if (!try_parse_u64(v, &parsed)) {
-             return bad_value("threads", v, "a positive integer");
-         }
-         s.threads = static_cast<std::size_t>(parsed);
-         return {};
-     },
-     [](const Scenario& s) { return std::to_string(s.threads); }},
-    {"window", "event-executor window width in time units (0 = auto from "
-               "lambda)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_double(v, &s.window)) {
-             return bad_value("window", v, "a number");
-         }
-         return {};
-     },
-     [](const Scenario& s) { return format_double_field(s.window); }},
-    {"epsilon", "(1-eps)-agreement threshold",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_double(v, &s.epsilon)) {
-             return bad_value("epsilon", v, "a number");
-         }
-         return {};
-     },
-     [](const Scenario& s) { return format_double_field(s.epsilon); }},
-    {"max-steps", "round/interaction budget (0 = family default)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_u64(v, &s.max_steps)) {
-             return bad_value("max-steps", v, "a non-negative integer");
-         }
-         return {};
-     },
-     [](const Scenario& s) { return std::to_string(s.max_steps); }},
-    {"max-time", "simulated-time budget (event-driven families)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_double(v, &s.max_time)) {
-             return bad_value("max-time", v, "a number");
-         }
-         return {};
-     },
-     [](const Scenario& s) { return format_double_field(s.max_time); }},
-    {"record-series", "record the plurality-fraction series (true/false)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_bool(v, &s.record_series)) {
-             return bad_value("record-series", v, "true or false");
-         }
-         return {};
-     },
-     [](const Scenario& s) {
-         return std::string(s.record_series ? "true" : "false");
-     }},
-    {"record-every", "recording cadence in rounds/interactions (0 = default)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_u64(v, &s.record_every)) {
-             return bad_value("record-every", v, "a non-negative integer");
-         }
-         return {};
-     },
-     [](const Scenario& s) { return std::to_string(s.record_every); }},
-    {"sample-interval", "event-driven sampling metronome (time steps)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_double(v, &s.sample_interval)) {
-             return bad_value("sample-interval", v, "a number");
-         }
-         return {};
-     },
-     [](const Scenario& s) { return format_double_field(s.sample_interval); }},
-    {"queue", "heap | calendar | ladder scheduler queue (event-driven "
-              "families)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         const auto parsed = sim::try_parse_queue_kind(v);
-         if (!parsed.has_value()) {
-             return bad_value("queue", v, "heap, calendar or ladder");
-         }
-         s.queue_kind = *parsed;
-         return {};
-     },
-     [](const Scenario& s) { return std::string(sim::to_string(s.queue_kind)); }},
-    {"fault_loss", "per-message drop probability (fault layer)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_double(v, &s.fault_loss)) {
-             return bad_value("fault_loss", v, "a number");
-         }
-         return {};
-     },
-     [](const Scenario& s) { return format_double_field(s.fault_loss); }},
-    {"fault_dup", "per-message duplication probability (fault layer)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_double(v, &s.fault_dup)) {
-             return bad_value("fault_dup", v, "a number");
-         }
-         return {};
-     },
-     [](const Scenario& s) { return format_double_field(s.fault_dup); }},
-    {"fault_corrupt", "per-message payload-corruption probability (fault "
-                      "layer)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_double(v, &s.fault_corrupt)) {
-             return bad_value("fault_corrupt", v, "a number");
-         }
-         return {};
-     },
-     [](const Scenario& s) { return format_double_field(s.fault_corrupt); }},
-    {"fault_crash_rate", "per-node exponential crash rate (fault layer)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_double(v, &s.fault_crash_rate)) {
-             return bad_value("fault_crash_rate", v, "a number");
-         }
-         return {};
-     },
-     [](const Scenario& s) { return format_double_field(s.fault_crash_rate); }},
-    {"fault_recover_rate", "per-node exponential recover rate (0 = crashed "
-                           "nodes stay down)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_double(v, &s.fault_recover_rate)) {
-             return bad_value("fault_recover_rate", v, "a number");
-         }
-         return {};
-     },
-     [](const Scenario& s) {
-         return format_double_field(s.fault_recover_rate);
-     }},
-    {"fault_straggler_frac", "fraction of messages with heavy-tailed extra "
-                             "delay",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_double(v, &s.fault_straggler_frac)) {
-             return bad_value("fault_straggler_frac", v, "a number");
-         }
-         return {};
-     },
-     [](const Scenario& s) {
-         return format_double_field(s.fault_straggler_frac);
-     }},
-    {"fault_straggler_scale", "scale of the Pareto straggler multiplier",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_double(v, &s.fault_straggler_scale)) {
-             return bad_value("fault_straggler_scale", v, "a number");
-         }
-         return {};
-     },
-     [](const Scenario& s) {
-         return format_double_field(s.fault_straggler_scale);
-     }},
-    {"byzantine_frac", "fraction of byzantine (adversarial) nodes",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!try_parse_double(v, &s.byzantine_frac)) {
-             return bad_value("byzantine_frac", v, "a number");
-         }
-         return {};
-     },
-     [](const Scenario& s) { return format_double_field(s.byzantine_frac); }},
-    {"byzantine_policy", "fixed | random | adaptive byzantine reporting "
-                         "policy",
-     [](Scenario& s, const std::string& v) -> std::string {
-         if (!fault::try_parse_byzantine_policy(v, &s.byzantine_policy)) {
-             return bad_value("byzantine_policy", v,
-                              "fixed, random or adaptive");
-         }
-         return {};
-     },
-     [](const Scenario& s) {
-         return std::string(fault::to_string(s.byzantine_policy));
-     }},
+template <typename T>
+void write_value(JsonWriter& writer, const T& value) {
+    if constexpr (std::is_enum_v<T>) writer.value(to_string(value));
+    else if constexpr (std::is_unsigned_v<T> && !std::is_same_v<T, bool>)
+        writer.value(static_cast<std::uint64_t>(value));
+    else writer.value(value);  // std::string, double, bool
+}
+
+struct FieldSpec {
+    const char* name;
+    const char* help;
+    const char* expected;  ///< accepted values, for the bad-value error
+    bool (*parse)(Scenario&, const std::string&);
+    std::string (*text)(const Scenario&);
+    void (*json)(JsonWriter&, const Scenario&);
+};
+
+/// One row for the Scenario member `Member`; its rules follow its type.
+template <auto Member>
+constexpr FieldSpec field(const char* name, const char* help, const char* expected) {
+    return {name, help, expected,
+            [](Scenario& s, const std::string& v) {
+                return parse_value(v, &(s.*Member));
+            },
+            [](const Scenario& s) { return text_of(s.*Member); },
+            [](JsonWriter& w, const Scenario& s) { write_value(w, s.*Member); }};
+}
+
+constexpr const char* kNumber = "a number";
+constexpr const char* kCount = "a non-negative integer";
+
+// One row per Scenario field, in declaration order: the order of --help,
+// scenario_field_names() and the JSON object.
+constexpr FieldSpec kFields[] = {
+    field<&Scenario::protocol>("protocol",
+                               "protocol name from the registry (see --list-protocols)",
+                               "a protocol name"),
+    field<&Scenario::n>("n", "population size", kCount),
+    field<&Scenario::k>("k", "number of opinions", kCount),
+    field<&Scenario::alpha>("alpha", "initial multiplicative bias of opinion 0",
+                            kNumber),
+    field<&Scenario::workload>("workload",
+                               "biased | two-front-runners | gap | uniform | zipf",
+                               "biased, two-front-runners, gap, uniform or zipf"),
+    field<&Scenario::zipf_s>("zipf-s", "Zipf exponent (workload=zipf)", kNumber),
+    field<&Scenario::gap>("gap", "additive gap in nodes (workload=gap; 0 = n/10)",
+                          kCount),
+    field<&Scenario::tail_fraction>("tail-fraction",
+                                    "background mass (workload=two-front-runners)",
+                                    kNumber),
+    field<&Scenario::lambda>("lambda",
+                             "channel-establishment rate (async/cluster families)",
+                             kNumber),
+    field<&Scenario::msg_rate>("msg-rate", "per-message rate (validated protocol)",
+                               kNumber),
+    field<&Scenario::gamma>("gamma", "generation-density threshold (sync Algorithm 1)",
+                            kNumber),
+    field<&Scenario::threads>("threads",
+                              "intra-run worker threads (sync + event-driven families; "
+                              "results identical at any count)",
+                              "a positive integer"),
+    field<&Scenario::window>("window",
+                             "event-executor window width in time units (0 = auto "
+                             "from lambda)",
+                             kNumber),
+    field<&Scenario::epsilon>("epsilon", "(1-eps)-agreement threshold", kNumber),
+    field<&Scenario::max_steps>(
+        "max-steps", "round/interaction budget (0 = family default)", kCount),
+    field<&Scenario::max_time>(
+        "max-time", "simulated-time budget (event-driven families)", kNumber),
+    field<&Scenario::record_series>("record-series",
+                                    "record the plurality-fraction series (true/false)",
+                                    "true or false"),
+    field<&Scenario::record_every>(
+        "record-every", "recording cadence in rounds/interactions (0 = default)",
+        kCount),
+    field<&Scenario::sample_interval>(
+        "sample-interval", "event-driven sampling metronome (time steps)", kNumber),
+    field<&Scenario::queue_kind>(
+        "queue", "heap | calendar | ladder scheduler queue (event-driven families)",
+        "heap, calendar or ladder"),
+    field<&Scenario::fault_loss>("fault_loss",
+                                 "per-message drop probability (fault layer)", kNumber),
+    field<&Scenario::fault_dup>(
+        "fault_dup", "per-message duplication probability (fault layer)", kNumber),
+    field<&Scenario::fault_corrupt>(
+        "fault_corrupt", "per-message payload-corruption probability (fault layer)",
+        kNumber),
+    field<&Scenario::fault_crash_rate>(
+        "fault_crash_rate", "per-node exponential crash rate (fault layer)", kNumber),
+    field<&Scenario::fault_recover_rate>(
+        "fault_recover_rate",
+        "per-node exponential recover rate (0 = crashed nodes stay down)", kNumber),
+    field<&Scenario::fault_straggler_frac>(
+        "fault_straggler_frac", "fraction of messages with heavy-tailed extra delay",
+        kNumber),
+    field<&Scenario::fault_straggler_scale>(
+        "fault_straggler_scale", "scale of the Pareto straggler multiplier", kNumber),
+    field<&Scenario::byzantine_frac>(
+        "byzantine_frac", "fraction of byzantine (adversarial) nodes", kNumber),
+    field<&Scenario::byzantine_policy>(
+        "byzantine_policy", "fixed | random | adaptive byzantine reporting policy",
+        "fixed, random or adaptive"),
 };
 
 const FieldSpec* find_field(const std::string& name) {
@@ -395,13 +267,15 @@ std::string set_field(Scenario& scenario, const std::string& field,
                       const std::string& value) {
     const FieldSpec* spec = find_field(field);
     if (spec == nullptr) return "unknown scenario field '" + field + "'";
-    return spec->set(scenario, value);
+    if (spec->parse(scenario, value)) return {};
+    return std::string("invalid value '") + value + "' for field '" +
+           spec->name + "' (expected " + spec->expected + ")";
 }
 
 std::string get_field(const Scenario& scenario, const std::string& field) {
     const FieldSpec* spec = find_field(field);
     if (spec == nullptr) return {};
-    return spec->get(scenario);
+    return spec->text(scenario);
 }
 
 std::string field_help(const std::string& field) {
@@ -412,35 +286,10 @@ std::string field_help(const std::string& field) {
 
 void write_json(JsonWriter& writer, const Scenario& scenario) {
     writer.begin_object();
-    writer.kv("protocol", scenario.protocol);
-    writer.kv("n", static_cast<std::uint64_t>(scenario.n));
-    writer.kv("k", static_cast<std::uint64_t>(scenario.k));
-    writer.kv("alpha", scenario.alpha);
-    writer.kv("workload", to_string(scenario.workload));
-    writer.kv("zipf-s", scenario.zipf_s);
-    writer.kv("gap", static_cast<std::uint64_t>(scenario.gap));
-    writer.kv("tail-fraction", scenario.tail_fraction);
-    writer.kv("lambda", scenario.lambda);
-    writer.kv("msg-rate", scenario.msg_rate);
-    writer.kv("gamma", scenario.gamma);
-    writer.kv("threads", static_cast<std::uint64_t>(scenario.threads));
-    writer.kv("window", scenario.window);
-    writer.kv("epsilon", scenario.epsilon);
-    writer.kv("max-steps", scenario.max_steps);
-    writer.kv("max-time", scenario.max_time);
-    writer.kv("record-series", scenario.record_series);
-    writer.kv("record-every", scenario.record_every);
-    writer.kv("sample-interval", scenario.sample_interval);
-    writer.kv("queue", sim::to_string(scenario.queue_kind));
-    writer.kv("fault_loss", scenario.fault_loss);
-    writer.kv("fault_dup", scenario.fault_dup);
-    writer.kv("fault_corrupt", scenario.fault_corrupt);
-    writer.kv("fault_crash_rate", scenario.fault_crash_rate);
-    writer.kv("fault_recover_rate", scenario.fault_recover_rate);
-    writer.kv("fault_straggler_frac", scenario.fault_straggler_frac);
-    writer.kv("fault_straggler_scale", scenario.fault_straggler_scale);
-    writer.kv("byzantine_frac", scenario.byzantine_frac);
-    writer.kv("byzantine_policy", fault::to_string(scenario.byzantine_policy));
+    for (const FieldSpec& spec : kFields) {
+        writer.key(spec.name);
+        spec.json(writer, scenario);
+    }
     writer.end_object();
 }
 

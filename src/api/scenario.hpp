@@ -8,9 +8,13 @@
 /// (sweep.hpp) expands axes over any Scenario field.
 ///
 /// Every knob has a canonical string field name (the same name is a CLI
-/// flag of papc_cli and a sweep-axis key); set_field() is the single
-/// table-driven mutation path, so the CLI, the sweep expander and any
-/// config file share one parser and one set of defaults.
+/// flag of papc_cli and a sweep-axis key). scenario.cpp declares each field
+/// once, as one row of a typed field table (member, name, help, accepted
+/// values); the member's type picks the parse, text and JSON rules, and
+/// set_field, get_field, field_help, scenario_field_names and write_json
+/// all loop over the table. set_field() is the single mutation path, so the
+/// CLI, the sweep expander and any config file share one parser and one set
+/// of defaults. A new knob is one struct member plus one table row.
 
 #include <cstdint>
 #include <string>

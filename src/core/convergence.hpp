@@ -22,7 +22,6 @@ public:
 
     [[nodiscard]] double epsilon_time() const { return epsilon_time_; }
     [[nodiscard]] double consensus_time() const { return consensus_time_; }
-    [[nodiscard]] bool epsilon_reached() const { return epsilon_time_ >= 0.0; }
     [[nodiscard]] bool done() const { return consensus_time_ >= 0.0; }
 
 private:

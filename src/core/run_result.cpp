@@ -1,11 +1,9 @@
 #include "core/run_result.hpp"
 
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "support/check.hpp"
-#include "support/parse.hpp"
 
 namespace papc::core {
 
@@ -39,18 +37,6 @@ void append_double(std::ostringstream& out, const char* key, double value) {
     out << key << ' ' << buffer << '\n';
 }
 
-double parse_double(const std::string& token) {
-    double value = 0.0;
-    PAPC_CHECK(try_parse_double(token, &value));
-    return value;
-}
-
-std::uint64_t parse_u64(const std::string& token) {
-    std::uint64_t value = 0;
-    PAPC_CHECK(try_parse_u64(token, &value));
-    return value;
-}
-
 }  // namespace
 
 std::string serialize(const RunResult& result) {
@@ -71,59 +57,6 @@ std::string serialize(const RunResult& result) {
         out << "point " << time_buffer << ' ' << value_buffer << '\n';
     }
     return out.str();
-}
-
-RunResult deserialize(const std::string& text) {
-    RunResult result;
-    std::istringstream in(text);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty()) continue;
-        std::istringstream fields(line);
-        std::string key;
-        fields >> key;
-        if (key == "converged") {
-            std::string v;
-            fields >> v;
-            result.converged = parse_u64(v) != 0;
-        } else if (key == "winner") {
-            std::string v;
-            fields >> v;
-            result.winner = static_cast<Opinion>(parse_u64(v));
-        } else if (key == "plurality_won") {
-            std::string v;
-            fields >> v;
-            result.plurality_won = parse_u64(v) != 0;
-        } else if (key == "epsilon_time") {
-            std::string v;
-            fields >> v;
-            result.epsilon_time = parse_double(v);
-        } else if (key == "consensus_time") {
-            std::string v;
-            fields >> v;
-            result.consensus_time = parse_double(v);
-        } else if (key == "end_time") {
-            std::string v;
-            fields >> v;
-            result.end_time = parse_double(v);
-        } else if (key == "steps") {
-            std::string v;
-            fields >> v;
-            result.steps = parse_u64(v);
-        } else if (key == "series") {
-            std::string name;
-            std::getline(fields, name);
-            if (!name.empty() && name.front() == ' ') name.erase(0, 1);
-            result.plurality_fraction = TimeSeries(name);
-        } else if (key == "point") {
-            std::string t;
-            std::string v;
-            fields >> t >> v;
-            result.plurality_fraction.record(parse_double(t), parse_double(v));
-        }
-        // Unknown keys: skip (forward compatibility).
-    }
-    return result;
 }
 
 void write_json(JsonWriter& writer, const RunResult& result) {

@@ -46,10 +46,6 @@ struct RunResult {
 /// `point <time> <value>` lines). Doubles round-trip exactly (hex floats).
 [[nodiscard]] std::string serialize(const RunResult& result);
 
-/// Parses the output of serialize(). Unknown keys are ignored so the format
-/// can grow; malformed numeric fields fail a PAPC_CHECK.
-[[nodiscard]] RunResult deserialize(const std::string& text);
-
 /// Emits the result as one JSON object. Scalar fields use their struct
 /// names; the series becomes {"name": ..., "points": [[time, value], ...]}.
 /// Doubles are written with round-trip precision, so

@@ -84,10 +84,6 @@ double FourStateExactMajority::output_fraction(Opinion j) const {
     return 0.0;
 }
 
-Opinion FourStateExactMajority::output_opinion(NodeId v) const {
-    return outputs_a(states_[v]) ? 0U : 1U;
-}
-
 std::int64_t FourStateExactMajority::strong_difference() const {
     return static_cast<std::int64_t>(strong_a_) -
            static_cast<std::int64_t>(strong_b_);

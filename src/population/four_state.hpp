@@ -32,7 +32,6 @@ public:
     [[nodiscard]] bool converged() const override;
     [[nodiscard]] Opinion current_winner() const override;
     [[nodiscard]] double output_fraction(Opinion j) const override;
-    [[nodiscard]] Opinion output_opinion(NodeId v) const override;
     [[nodiscard]] std::string name() const override { return "4-state-exact-majority"; }
 
     [[nodiscard]] std::uint64_t strong_a() const { return strong_a_; }
@@ -42,7 +41,7 @@ public:
     [[nodiscard]] std::int64_t strong_difference() const;
 
     // Fault-layer impersonation bracket (see scheduler.hpp). The opaque
-    // word is the full State — output_opinion is lossy (strong vs weak),
+    // word is the full State — an output opinion is lossy (strong vs weak),
     // so restore must not round-trip through opinions. Forcing imperson-
     // ates the *strong* token of the opinion (the influential state).
     [[nodiscard]] std::uint64_t save_state(NodeId v) const override {

@@ -28,9 +28,6 @@ public:
     [[nodiscard]] bool converged() const override;
     [[nodiscard]] Opinion current_winner() const override;
     [[nodiscard]] double output_fraction(Opinion j) const override;
-    [[nodiscard]] Opinion output_opinion(NodeId v) const override {
-        return states_[v];
-    }
     [[nodiscard]] std::string name() const override { return "k-undecided"; }
 
     [[nodiscard]] std::uint32_t num_opinions() const override {

@@ -9,57 +9,16 @@
 
 namespace papc::population {
 
-std::pair<NodeId, NodeId> UniformPairPolicy::next_pair(
-    const PopulationProtocol&, std::size_t n, Rng& rng) {
-    const auto initiator = static_cast<NodeId>(rng.uniform_index(n));
-    const auto responder =
-        static_cast<NodeId>(rng.uniform_index_excluding(n, initiator));
-    return {initiator, responder};
-}
-
-std::pair<NodeId, NodeId> RoundRobinPairPolicy::next_pair(
-    const PopulationProtocol&, std::size_t n, Rng& rng) {
-    const NodeId initiator = cursor_;
-    cursor_ = static_cast<NodeId>((cursor_ + 1) % n);
-    const auto responder =
-        static_cast<NodeId>(rng.uniform_index_excluding(n, initiator));
-    return {initiator, responder};
-}
-
-StallingPairPolicy::StallingPairPolicy(double stall) : stall_(stall) {
-    PAPC_CHECK(stall >= 0.0 && stall < 1.0);
-}
-
-std::pair<NodeId, NodeId> StallingPairPolicy::next_pair(
-    const PopulationProtocol& protocol, std::size_t n, Rng& rng) {
-    if (rng.bernoulli(stall_)) {
-        // Try a few times to find a same-output pair (a no-op interaction
-        // for the majority protocols); fall back to uniform if unlucky so
-        // the policy stays fair.
-        for (int attempt = 0; attempt < 8; ++attempt) {
-            const auto a = static_cast<NodeId>(rng.uniform_index(n));
-            const auto b = static_cast<NodeId>(rng.uniform_index_excluding(n, a));
-            if (protocol.output_opinion(a) == protocol.output_opinion(b)) {
-                return {a, b};
-            }
-        }
-    }
-    const auto initiator = static_cast<NodeId>(rng.uniform_index(n));
-    const auto responder =
-        static_cast<NodeId>(rng.uniform_index_excluding(n, initiator));
-    return {initiator, responder};
-}
-
 namespace {
 
-/// Adapts a protocol + pair policy to the core step interface; the time
-/// axis is parallel time (interactions / n).
+/// Adapts a protocol to the core step interface: each step is one
+/// uniformly random ordered pair of distinct agents, and the time axis is
+/// parallel time (interactions / n).
 class PopulationEngine final : public core::Engine {
 public:
-    PopulationEngine(PopulationProtocol& protocol, PairPolicy& policy, Rng& rng,
+    PopulationEngine(PopulationProtocol& protocol, Rng& rng,
                      const fault::Injector* injector)
         : protocol_(protocol),
-          policy_(policy),
           rng_(rng),
           n_(protocol.population()),
           injector_(injector) {
@@ -76,7 +35,9 @@ public:
     }
 
     bool advance() override {
-        const auto [initiator, responder] = policy_.next_pair(protocol_, n_, rng_);
+        const auto initiator = static_cast<NodeId>(rng_.uniform_index(n_));
+        const auto responder =
+            static_cast<NodeId>(rng_.uniform_index_excluding(n_, initiator));
         ++interactions_;
         if (injector_ == nullptr) {
             protocol_.interact(initiator, responder);
@@ -174,7 +135,6 @@ private:
     }
 
     PopulationProtocol& protocol_;
-    PairPolicy& policy_;
     Rng& rng_;
     std::size_t n_;
     std::uint64_t interactions_ = 0;
@@ -189,9 +149,8 @@ private:
 
 }  // namespace
 
-PopulationResult run_population_with_policy(PopulationProtocol& protocol,
-                                            PairPolicy& policy, Rng& rng,
-                                            const PopulationRunOptions& options) {
+PopulationResult run_population(PopulationProtocol& protocol, Rng& rng,
+                                const PopulationRunOptions& options) {
     const auto n = static_cast<std::uint64_t>(protocol.population());
     PAPC_CHECK(n >= 2);
 
@@ -212,7 +171,7 @@ PopulationResult run_population_with_policy(PopulationProtocol& protocol,
                                                      horizon, rng);
     }
 
-    PopulationEngine engine(protocol, policy, rng, injector.get());
+    PopulationEngine engine(protocol, rng, injector.get());
     core::EngineOptions run_options;
     run_options.max_steps = max_interactions;
     run_options.check_every = options.check_every == 0 ? n : options.check_every;
@@ -220,7 +179,8 @@ PopulationResult run_population_with_policy(PopulationProtocol& protocol,
     run_options.record = options.record_every > 0;
     run_options.plurality = options.plurality;
     run_options.epsilon = options.epsilon;
-    run_options.series_name = protocol.name() + "@" + policy.name();
+    // "@uniform" names the pair model; every population result carries it.
+    run_options.series_name = protocol.name() + "@uniform";
     PopulationResult result = core::run(engine, run_options);
     if (options.fault_counters != nullptr) {
         *options.fault_counters = engine.fault_counters();
@@ -232,12 +192,6 @@ PopulationResult run_population_with_policy(PopulationProtocol& protocol,
         *options.byzantine_nodes = injector ? injector->byzantine_count() : 0;
     }
     return result;
-}
-
-PopulationResult run_population(PopulationProtocol& protocol, Rng& rng,
-                                const PopulationRunOptions& options) {
-    UniformPairPolicy policy;
-    return run_population_with_policy(protocol, policy, rng, options);
 }
 
 }  // namespace papc::population

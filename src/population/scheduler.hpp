@@ -33,9 +33,9 @@ public:
 
     /// Opaque per-agent state word for the fault layer's
     /// save / impersonate / restore bracket around one interaction.
-    /// restore_state(v, save_state(v)) must be exact — output_opinion can
-    /// be lossy (e.g. strong vs weak states). Protocols that do not
-    /// override the trio simply ignore impersonation.
+    /// restore_state(v, save_state(v)) must be exact — an agent's output
+    /// opinion can be lossy (e.g. strong vs weak states). Protocols that
+    /// do not override the trio simply ignore impersonation.
     [[nodiscard]] virtual std::uint64_t save_state(NodeId v) const {
         (void)v;
         return 0;
@@ -62,57 +62,7 @@ public:
     /// Fraction of agents currently outputting `j`.
     [[nodiscard]] virtual double output_fraction(Opinion j) const = 0;
 
-    /// Current output of one agent (kUndecided for blank/undecided states).
-    [[nodiscard]] virtual Opinion output_opinion(NodeId v) const = 0;
-
     [[nodiscard]] virtual std::string name() const = 0;
-};
-
-/// Pair-selection policy: the population-protocol model allows random *or
-/// adversarial* pair selection (§1.1); an adversary must remain fair (every
-/// pair is selected infinitely often) but may bias the order arbitrarily.
-class PairPolicy {
-public:
-    virtual ~PairPolicy() = default;
-    /// Returns the next ordered (initiator, responder) pair of distinct
-    /// agents for a population of size n.
-    [[nodiscard]] virtual std::pair<NodeId, NodeId> next_pair(
-        const PopulationProtocol& protocol, std::size_t n, Rng& rng) = 0;
-    [[nodiscard]] virtual std::string name() const = 0;
-};
-
-/// The standard model: uniformly random ordered pairs.
-class UniformPairPolicy final : public PairPolicy {
-public:
-    [[nodiscard]] std::pair<NodeId, NodeId> next_pair(
-        const PopulationProtocol& protocol, std::size_t n, Rng& rng) override;
-    [[nodiscard]] std::string name() const override { return "uniform"; }
-};
-
-/// Deterministic fair rotation of initiators with random responders.
-class RoundRobinPairPolicy final : public PairPolicy {
-public:
-    [[nodiscard]] std::pair<NodeId, NodeId> next_pair(
-        const PopulationProtocol& protocol, std::size_t n, Rng& rng) override;
-    [[nodiscard]] std::string name() const override { return "round-robin"; }
-
-private:
-    NodeId cursor_ = 0;
-};
-
-/// Fair adversary that *delays* progress: with probability `stall` it pairs
-/// two agents with the same output (a no-op for the protocols here), and
-/// falls back to a uniform pair otherwise — so every pair still occurs
-/// infinitely often (fairness) but useful interactions are rationed.
-class StallingPairPolicy final : public PairPolicy {
-public:
-    explicit StallingPairPolicy(double stall);
-    [[nodiscard]] std::pair<NodeId, NodeId> next_pair(
-        const PopulationProtocol& protocol, std::size_t n, Rng& rng) override;
-    [[nodiscard]] std::string name() const override { return "stalling"; }
-
-private:
-    double stall_;
 };
 
 /// Outcome of driving a protocol: the unified result. The time axis is
@@ -147,10 +97,5 @@ struct PopulationRunOptions {
 [[nodiscard]] PopulationResult run_population(PopulationProtocol& protocol,
                                               Rng& rng,
                                               const PopulationRunOptions& options = {});
-
-/// Drives a protocol with an arbitrary pair-selection policy.
-[[nodiscard]] PopulationResult run_population_with_policy(
-    PopulationProtocol& protocol, PairPolicy& policy, Rng& rng,
-    const PopulationRunOptions& options = {});
 
 }  // namespace papc::population

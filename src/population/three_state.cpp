@@ -51,15 +51,6 @@ void ThreeStateMajority::interact(NodeId initiator, NodeId responder) {
     }
 }
 
-Opinion ThreeStateMajority::output_opinion(NodeId v) const {
-    switch (states_[v]) {
-        case State::kA: return 0;
-        case State::kB: return 1;
-        case State::kBlank: return kUndecided;
-    }
-    return kUndecided;
-}
-
 bool ThreeStateMajority::converged() const {
     const auto n = static_cast<std::uint64_t>(states_.size());
     return count_a_ == n || count_b_ == n;

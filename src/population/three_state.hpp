@@ -28,7 +28,6 @@ public:
     [[nodiscard]] bool converged() const override;
     [[nodiscard]] Opinion current_winner() const override;
     [[nodiscard]] double output_fraction(Opinion j) const override;
-    [[nodiscard]] Opinion output_opinion(NodeId v) const override;
     [[nodiscard]] std::string name() const override { return "3-state-majority"; }
 
     [[nodiscard]] std::uint64_t count_a() const { return count_a_; }

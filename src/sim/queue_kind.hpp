@@ -32,8 +32,4 @@ enum class QueueKind {
 [[nodiscard]] std::optional<QueueKind> try_parse_queue_kind(
     const std::string& name);
 
-/// Parses like try_parse_queue_kind but aborts on unknown names (use when
-/// the name is internal, not user input).
-[[nodiscard]] QueueKind parse_queue_kind(const std::string& name);
-
 }  // namespace papc::sim

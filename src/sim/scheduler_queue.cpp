@@ -35,10 +35,4 @@ std::optional<QueueKind> try_parse_queue_kind(const std::string& name) {
     return std::nullopt;
 }
 
-QueueKind parse_queue_kind(const std::string& name) {
-    const std::optional<QueueKind> kind = try_parse_queue_kind(name);
-    PAPC_CHECK(kind.has_value() && "unknown queue kind");
-    return *kind;
-}
-
 }  // namespace papc::sim

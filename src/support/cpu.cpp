@@ -92,12 +92,4 @@ bool simd_override_active() {
     return g_override.load(std::memory_order_relaxed) != 0;
 }
 
-bool simd_compiled_in() {
-#if defined(PAPC_SIMD_X86)
-    return true;
-#else
-    return false;
-#endif
-}
-
 }  // namespace papc::support

@@ -65,8 +65,4 @@ void clear_simd_override();
 /// path at any working-set size.
 [[nodiscard]] bool simd_override_active();
 
-/// True when the AVX2 kernels were compiled into this binary (false under
-/// -DPAPC_DISABLE_SIMD or on non-x86-64 builds).
-[[nodiscard]] bool simd_compiled_in();
-
 }  // namespace papc::support

@@ -20,9 +20,6 @@ inline double log_add_exp(double a, double b) {
     return hi + std::log1p(std::exp(lo - hi));
 }
 
-/// log base 2.
-inline double log2d(double x) { return std::log2(x); }
-
 /// Integer ceil(log2(x)) for x >= 1.
 inline int ceil_log2(std::uint64_t x) {
     int bits = 0;

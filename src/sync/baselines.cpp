@@ -119,57 +119,20 @@ PullVoting::PullVoting(const Assignment& assignment, std::size_t threads)
 
 void PullVoting::step(Rng& rng) {
     if (fault_on()) begin_faulted_round();
-    const std::size_t n = colors_.size();
-    if (n < kPullVotingBatchCutover) {
-        // Sub-block population: decide inline instead of paying the
-        // index-scratch round-trip of the batched path (see the cutover
-        // constant's comment for the measured trade-off). The raw stream
-        // still comes in fill_u64 blocks (BufferedSampler) with the
-        // xoshiro state in registers, and the hand-hoisted threshold
-        // keeps the 64-bit division out of the loop. Same substream
-        // consumption as the batched path, so the cutover never changes
-        // a result.
-        run_shards_inline(rng, [&](std::size_t base, std::size_t count,
-                                   Rng& sub, OpinionDeltaAccumulator::View note,
-                                   BufferedSampler& sampler) {
-            run_shard(base, count, sub, note, sampler);
+    const PackedGather gather(sample_source());
+    run_shards<1>(rng, [&](std::size_t base, std::size_t count,
+                           const std::uint64_t* idx, const Opinion* own,
+                           OpinionDeltaAccumulator::View note) {
+        PackedOpinionArray::Writer out(next_colors_, base);
+        gather_decide<1>(gather, idx, count,
+                         [&](std::size_t i, const Opinion* v) {
+            const Opinion seen = v[0];
+            note.note(own[i], seen);
+            out.push(seen);
         });
-    } else {
-        const PackedGather gather(sample_source());
-        run_shards<1>(rng, [&](std::size_t base, std::size_t count,
-                               const std::uint64_t* idx, const Opinion* own,
-                               OpinionDeltaAccumulator::View note) {
-            PackedOpinionArray::Writer out(next_colors_, base);
-            gather_decide<1>(gather, idx, count,
-                             [&](std::size_t i, const Opinion* v) {
-                const Opinion seen = v[0];
-                note.note(own[i], seen);
-                out.push(seen);
-            });
-            out.finish();
-        });
-    }
+        out.finish();
+    });
     commit_round();
-}
-
-/// One cache-resident shard of pull voting: draw, gather, decide per node
-/// in a single pass. A named function for the same reason as
-/// ThreeMajority::run_shard — one optimization unit, hand-hoisted
-/// rejection threshold.
-void PullVoting::run_shard(std::size_t base, std::size_t count, Rng& sub,
-                           OpinionDeltaAccumulator::View note,
-                           BufferedSampler& sampler) {
-    const auto n = static_cast<std::uint64_t>(colors_.size());
-    const std::uint64_t threshold = lemire_threshold(n);
-    const PackedOpinionArray& src = sample_source();
-    PackedOpinionArray::Writer out(next_colors_, base);
-    sampler.reset();
-    for (std::size_t i = 0; i < count; ++i) {
-        const Opinion seen = src.get(sampler.uniform_index(sub, n, threshold));
-        note.note(colors_.get(base + i), seen);
-        out.push(seen);
-    }
-    out.finish();
 }
 
 TwoChoices::TwoChoices(const Assignment& assignment, std::size_t threads)
@@ -211,7 +174,7 @@ void ThreeMajority::step(Rng& rng) {
 
 /// One shard's inline decide loop, a named function so the optimizer
 /// treats it as a single unit (hoists, schedules) instead of a lambda
-/// nest; thresholds are hoisted by hand like PullVoting's.
+/// nest; the rejection thresholds are hoisted by hand.
 void ThreeMajority::run_shard(std::size_t base, std::size_t count, Rng& sub,
                               OpinionDeltaAccumulator::View note,
                               BufferedSampler& sampler) {

@@ -158,35 +158,12 @@ private:
     std::uint64_t crash_skips_ = 0;
 };
 
-/// Below this population pull voting decides inline (BufferedSampler
-/// draw + gather + write per node) instead of running the batched
-/// index-then-gather kernel. The cutover switches execution strategy
-/// only — both paths consume the shard substreams identically, so
-/// results are bit-identical across the threshold (pinned in
-/// tests/sync/thread_equivalence_test.cpp).
-///
-/// Where to put it is a hardware question. PR 4's matrix (its VM)
-/// measured the batched kernel 0.7-0.9x below 2^18 where the color
-/// vector is cache-resident; re-measured for PR 5 on the current 1-core
-/// reference container the batched kernel wins at *every* size
-/// (1.2-1.4x, mixed-state rounds, interleaved runs — uniform_indices'
-/// in-register bulk generation beats the sampler loop even L1-resident).
-/// The constant therefore ships conservatively at one round block: only
-/// sub-single-shard populations (where a round costs microseconds either
-/// way) take the inline path, keeping it exercised and pinned. Raise it
-/// on hardware where the inline loop measures faster.
-inline constexpr std::size_t kPullVotingBatchCutover = kRoundBlock;
-
 /// Pull voting: adopt the opinion of one uniformly random node.
 class PullVoting final : public ColorVectorDynamics {
 public:
     explicit PullVoting(const Assignment& assignment, std::size_t threads = 1);
     void step(Rng& rng) override;
     [[nodiscard]] std::string name() const override { return "pull-voting"; }
-
-private:
-    void run_shard(std::size_t base, std::size_t count, Rng& sub,
-                   OpinionDeltaAccumulator::View note, BufferedSampler& sampler);
 };
 
 /// Two-choices: sample two nodes, adopt their opinion iff they agree.

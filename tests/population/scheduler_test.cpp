@@ -27,9 +27,6 @@ public:
     [[nodiscard]] double output_fraction(Opinion) const override {
         return converged() ? 1.0 : 0.5;
     }
-    [[nodiscard]] Opinion output_opinion(NodeId v) const override {
-        return v % 2;  // arbitrary but stable
-    }
     [[nodiscard]] std::string name() const override { return "recording"; }
 
     std::uint64_t interactions_ = 0;

@@ -57,9 +57,10 @@ TEST(SchedulerQueue, ConcreteTypesUsableWithoutFactory) {
 
 TEST(SchedulerQueue, KindNamesRoundTrip) {
     for (const QueueKind kind : all_kinds()) {
-        EXPECT_EQ(parse_queue_kind(to_string(kind)), kind);
+        EXPECT_EQ(try_parse_queue_kind(to_string(kind)), kind);
     }
-    EXPECT_EQ(parse_queue_kind("binary-heap"), QueueKind::kBinaryHeap);
+    EXPECT_EQ(try_parse_queue_kind("binary-heap"), QueueKind::kBinaryHeap);
+    EXPECT_EQ(try_parse_queue_kind("fifo"), std::nullopt);
 }
 
 // ------------------------------------------------------- ordering contract

@@ -14,9 +14,8 @@
 ///      sweep emit identical JSON, and same-seed cells agree across
 ///      thread counts.
 ///
-/// The pull-voting batch cutover (kPullVotingBatchCutover) is also pinned
-/// here: the inline-scalar and batched paths must produce identical
-/// states because they consume the shard substreams identically.
+/// Pull voting is also pinned against a hand-driven batched replay of its
+/// shard substreams, for a single-shard and a multi-shard population.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +31,7 @@
 #include "sync/algorithm1.hpp"
 #include "sync/baselines.hpp"
 #include "sync/engine.hpp"
+#include "sync/round_kernel.hpp"
 
 namespace papc::sync {
 namespace {
@@ -141,15 +141,13 @@ TEST(ThreadEquivalence, UndecidedState) {
         3035));
 }
 
-TEST(ThreadEquivalence, PullVotingBatchCutoverIsPureStrategySwitch) {
-    // Below the cutover PullVoting decides inline; above it the batched
-    // kernel runs. Both must realize the identical substream schedule
-    // (uniform_indices == repeated uniform_index == BufferedSampler), so
-    // a run on either side of the threshold matches a hand-driven
-    // batched replay of the same draws.
+TEST(ThreadEquivalence, PullVotingMatchesBatchedReplay) {
+    // The production kernel must realize the per-shard substream schedule
+    // exactly: a run matches a hand-driven batched replay of the same
+    // draws, below one round block (one shard) and above it (two).
     for (const std::size_t n :
-         {kPullVotingBatchCutover - 1000,    // inline path
-          kPullVotingBatchCutover + 1000}) { // batched path
+         {kRoundBlock - 1000,    // one shard
+          kRoundBlock + 1000}) { // two shards
         Rng workload_rng(771);
         const Assignment a = make_biased_plurality(n, 4, 1.2, workload_rng);
         PullVoting production(a);
