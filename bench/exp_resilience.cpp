@@ -12,6 +12,7 @@
 
 #include "async/simulation.hpp"
 #include "cluster/simulation.hpp"
+#include "fault/plan.hpp"
 #include "runner/experiment.hpp"
 #include "runner/report.hpp"
 #include "support/table.hpp"
@@ -37,7 +38,10 @@ int main() {
                     async::AsyncConfig c;
                     c.alpha_hint = alpha;
                     c.max_time = 400.0;  // generous cap; stalls stay stalled
-                    c.leader_failure_time = failure_time;
+                    if (failure_time >= 0.0) {
+                        c.fault.scheduled_crashes.push_back(
+                            {fault::kLeaderNode, failure_time});
+                    }
                     const async::AsyncResult r =
                         async::run_single_leader(n, k, alpha, c, s);
                     runner::TrialMetrics m;

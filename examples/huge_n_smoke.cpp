@@ -1,8 +1,9 @@
 /// \file huge_n_smoke.cpp
 /// Huge-n memory smoke (ISSUE 7 acceptance): run two-choices at
 /// n = 2^24, k = 128 for a few rounds and hold the process to a
-/// documented RSS budget, then an Algorithm 1 phase at n = 2^22 whose
-/// k = 128 census rows exercise the sparse representation at scale.
+/// documented RSS budget, then an Algorithm 1 phase at n = 2^22 with
+/// k = 128 dense census rows (one per populated generation) and per-worker
+/// delta arenas of rows x k.
 ///
 /// The budget (asserted, non-zero exit on breach):
 ///
@@ -83,7 +84,7 @@ int main() {
     }
 
     {
-        // Sparse-census phase: k = 128 rows above the dense threshold.
+        // Algorithm 1 phase: k = 128 census rows and delta arenas.
         constexpr std::size_t kAlgN = std::size_t{1} << 22U;
         Rng workload_rng(2026);
         const Assignment a = make_biased_plurality(kAlgN, kK, 1.5,
@@ -96,7 +97,8 @@ int main() {
         Rng rng(2027);
         for (int round = 0; round < 2 * kRounds; ++round) alg.step(rng);
         std::cout << "algorithm 1 engine: " << alg.memory_bytes() / (1024 * 1024)
-                  << " MiB at n = 2^22, peak RSS " << peak_rss_mib()
+                  << " MiB (" << alg.memory_bytes()
+                  << " bytes) at n = 2^22, peak RSS " << peak_rss_mib()
                   << " MiB\n";
     }
 

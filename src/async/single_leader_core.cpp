@@ -24,15 +24,6 @@ SingleLeaderCore::SingleLeaderCore(const Assignment& assignment,
 
 SingleLeaderCore::~SingleLeaderCore() = default;
 
-fault::FaultPlan SingleLeaderCore::fault_plan() const {
-    fault::FaultPlan plan = config_.fault;
-    if (config_.leader_failure_time >= 0.0) {
-        plan.scheduled_crashes.push_back(
-            fault::CrashEntry{fault::kLeaderNode, config_.leader_failure_time});
-    }
-    return plan;
-}
-
 void SingleLeaderCore::open_leader(double steps_per_unit) {
     PAPC_CHECK(!started_);
     started_ = true;

@@ -80,14 +80,12 @@ protected:
     SingleLeaderCore(const Assignment& assignment, const AsyncConfig& config,
                      std::uint64_t seed);
 
-    /// Run prelude. Splices the deprecated leader_failure_time knob into
-    /// the fault plan as a scheduled leader crash and attaches the injector
-    /// (rng_ is not advanced). Then measure_c1() (which may split rng_)
-    /// yields the steps per time unit C1, and the leader gets its
-    /// thresholds.
+    /// Run prelude. Attaches the injector for config_.fault (rng_ is not
+    /// advanced). Then measure_c1() (which may split rng_) yields the
+    /// steps per time unit C1, and the leader gets its thresholds.
     template <typename MeasureC1>
     void start(MeasureC1&& measure_c1) {
-        attach_faults(fault_plan(), nodes_.size(), config_.max_time, rng_);
+        attach_faults(config_.fault, nodes_.size(), config_.max_time, rng_);
         open_leader(measure_c1());
     }
 
@@ -142,8 +140,6 @@ protected:
     AsyncResult result_;
 
 private:
-    /// config_.fault with leader_failure_time spliced in.
-    [[nodiscard]] fault::FaultPlan fault_plan() const;
     void open_leader(double steps_per_unit);
 
     [[nodiscard]] bool leader_up(double time) const {

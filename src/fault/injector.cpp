@@ -123,8 +123,8 @@ bool Injector::is_down(NodeId v, double t) const {
     const std::uint32_t end = offsets_[v + 1];
     // Down iff an odd number of boundaries are <= t (boundaries alternate
     // crash, recover, crash, ...). A node is down AT its crash time
-    // (upper_bound: boundary <= t counts), matching the leader's legacy
-    // `t >= failure_time` edge.
+    // (upper_bound: boundary <= t counts), the same `t >= time` edge as a
+    // scheduled crash and leader_down().
     const auto* first = boundaries_.data() + begin;
     const auto* last = boundaries_.data() + end;
     const auto count =

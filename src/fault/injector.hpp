@@ -19,8 +19,9 @@
 ///   - Crash/recover timelines are precomputed per node at construction
 ///     from per-node substreams, so `is_down(v, t)` is a pure lookup.
 ///   - Byzantine membership is drawn once, node-ascending, at
-///     construction; per-round adversarial opinions draw from
-///     `byzantine_round_stream(round)`.
+///     construction; the reporting policy's opinions under one label (a
+///     round or an interaction) come from `byzantine_reports(label, ...)`,
+///     whose kRandom draws use `byzantine_round_stream(label)`.
 ///
 /// Rates of zero draw nothing (the per-message draw sequence skips
 /// disabled channels). This is safe because the plan is part of the
@@ -36,6 +37,29 @@
 #include "support/random.hpp"
 
 namespace papc::fault {
+
+/// The opinions the Byzantine nodes report under one label, handed out
+/// one report at a time by next(). Built by Injector::byzantine_reports,
+/// which resolves the reporting policy once per label.
+class ByzantineReports {
+public:
+    /// The opinion of the next report: the label's fixed target, or the
+    /// next kRandom draw.
+    [[nodiscard]] Opinion next() {
+        return random_ ? static_cast<Opinion>(stream_.uniform_index(k_))
+                       : target_;
+    }
+
+private:
+    friend class Injector;
+    ByzantineReports(Opinion target, std::uint32_t k, bool random, Rng stream)
+        : target_(target), k_(k), random_(random), stream_(stream) {}
+
+    Opinion target_;
+    std::uint32_t k_;
+    bool random_;
+    Rng stream_;
+};
 
 /// The fate of one message, drawn channel by channel in fixed order.
 struct MessageFate {
@@ -95,9 +119,8 @@ public:
     /// boundary). Pure lookup into the precomputed timeline.
     [[nodiscard]] bool is_down(NodeId v, double t) const;
 
-    /// True when the distinguished leader is down at time t (driven by
-    /// scheduled_crashes entries with node == kLeaderNode; matches the
-    /// legacy `t >= leader_failure_time` boundary exactly).
+    /// True when the distinguished leader is down at time t: at or after
+    /// the earliest scheduled_crashes entry with node == kLeaderNode.
     [[nodiscard]] bool leader_down(double t) const {
         return t >= leader_crash_time_;
     }
@@ -117,10 +140,6 @@ public:
         return plan_.byzantine_active();
     }
 
-    [[nodiscard]] ByzantinePolicy byzantine_policy() const {
-        return plan_.byzantine_policy;
-    }
-
     [[nodiscard]] bool is_byzantine(NodeId v) const {
         return !byzantine_.empty() && byzantine_[v] != 0;
     }
@@ -134,12 +153,21 @@ public:
         return byzantine_nodes_;
     }
 
-    /// Per-round stream for the kRandom reporting policy: round r's
-    /// adversarial opinions are a pure function of (seed, r), drawn in
-    /// ascending node order by the engine.
+    /// Per-label stream for the kRandom reporting policy: label r's
+    /// adversarial opinions are a pure function of (seed, r).
     [[nodiscard]] Rng byzantine_round_stream(std::uint64_t round) const {
         return byz_base_.substream(1, round);
     }
+
+    /// The reporting policy's targets under `label` over k opinions:
+    /// kFixed reports k - 1; kRandom draws from byzantine_round_stream(label)
+    /// in the order next() is called (ascending node order in the round
+    /// engines); kAdaptive reports strongest_minority(k, count), computed
+    /// here once. `count(j)` is only called for kAdaptive.
+    template <typename CountFn>
+    [[nodiscard]] ByzantineReports byzantine_reports(std::uint64_t label,
+                                                     std::uint32_t k,
+                                                     CountFn&& count) const;
 
 private:
     void build_crash_timelines(double horizon);
@@ -194,6 +222,22 @@ template <typename CountFn>
         }
     }
     return target;
+}
+
+template <typename CountFn>
+ByzantineReports Injector::byzantine_reports(std::uint64_t label,
+                                             std::uint32_t k,
+                                             CountFn&& count) const {
+    switch (plan_.byzantine_policy) {
+        case ByzantinePolicy::kRandom:
+            return ByzantineReports(0, k, true, byzantine_round_stream(label));
+        case ByzantinePolicy::kAdaptive:
+            return ByzantineReports(strongest_minority(k, count), k, false,
+                                    Rng(0));
+        case ByzantinePolicy::kFixed:
+            break;
+    }
+    return ByzantineReports(static_cast<Opinion>(k - 1), k, false, Rng(0));
 }
 
 }  // namespace papc::fault

@@ -37,7 +37,10 @@ enum class ByzantinePolicy : std::uint8_t {
                                               ByzantinePolicy* out);
 
 /// CrashEntry::node value addressing the protocol's distinguished leader
-/// (single-leader family) instead of an ordinary node.
+/// (single-leader family) instead of an ordinary node. From the entry's
+/// time on the leader is frozen: it stops processing signals and its
+/// public state never changes again (§4: "an adversary can compromise the
+/// entire computation by taking over the leader").
 inline constexpr NodeId kLeaderNode = 0xFFFFFFFFU;
 
 /// One scheduled, permanent crash: `node` is down for all t >= time.

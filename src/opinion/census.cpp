@@ -7,7 +7,8 @@
 
 namespace papc {
 
-BiasStats stats_from_counts(const std::uint64_t* counts, std::size_t k) {
+BiasStats stats_from_counts(const std::vector<std::uint64_t>& counts) {
+    const std::size_t k = counts.size();
     BiasStats s;
     std::uint64_t total = 0;
     for (std::size_t j = 0; j < k; ++j) total += counts[j];
@@ -52,10 +53,6 @@ BiasStats stats_from_counts(const std::uint64_t* counts, std::size_t k) {
     return s;
 }
 
-BiasStats stats_from_counts(const std::vector<std::uint64_t>& counts) {
-    return stats_from_counts(counts.data(), counts.size());
-}
-
 double collision_probability_lower_bound(double alpha, std::uint32_t k) {
     PAPC_CHECK(alpha >= 1.0);
     PAPC_CHECK(k >= 1);
@@ -71,7 +68,7 @@ OpinionCensus::OpinionCensus(std::size_t n, std::uint32_t num_opinions)
     PAPC_CHECK(num_opinions >= 1);
 }
 
-void OpinionCensus::reset(OpinionView opinions) {
+void OpinionCensus::reset(const std::vector<Opinion>& opinions) {
     PAPC_CHECK(opinions.size() == n_);
     for (auto& c : counts_) c = 0;
     undecided_ = 0;
@@ -150,12 +147,7 @@ double OpinionCensus::fraction(Opinion j) const {
 // ------------------------------------------------------------- Generation
 
 GenerationCensus::GenerationCensus(std::size_t n, std::uint32_t num_opinions)
-    : GenerationCensus(n, num_opinions, kDefaultDenseK) {}
-
-GenerationCensus::GenerationCensus(std::size_t n, std::uint32_t num_opinions,
-                                   std::uint32_t dense_k)
-    : n_(n), k_(num_opinions), dense_k_(dense_k),
-      opinion_totals_(num_opinions, 0) {
+    : n_(n), k_(num_opinions), opinion_totals_(num_opinions, 0) {
     PAPC_CHECK(num_opinions >= 1);
     ensure_generation(0);
 }
@@ -163,8 +155,8 @@ GenerationCensus::GenerationCensus(std::size_t n, std::uint32_t num_opinions,
 void GenerationCensus::ensure_generation(Generation i) {
     if (i < gen_totals_.size()) return;
     // Grow by doubling so the row table is reallocated O(log G*) times no
-    // matter how generations arrive. Fresh rows are empty (two null
-    // vectors) until first touched.
+    // matter how generations arrive. Fresh rows stay empty until first
+    // touched.
     const std::size_t rows =
         std::max<std::size_t>(static_cast<std::size_t>(i) + 1,
                               2 * gen_totals_.size());
@@ -181,110 +173,14 @@ void GenerationCensus::refresh_highest(Generation candidate) {
     highest_populated_ = h;
 }
 
-void GenerationCensus::promote_row(Row& row) const {
-    std::vector<std::uint64_t> dense(k_, 0);
-    for (const auto& [op, count] : row.sparse) dense[op] = count;
-    row.dense.swap(dense);
-    row.sparse.clear();
-    row.sparse.shrink_to_fit();
-}
-
 void GenerationCensus::row_add(Row& row, Opinion j, std::int64_t delta) {
-    if (delta == 0) return;
-    if (row.dense.empty() && k_ <= dense_k_) row.dense.assign(k_, 0);
-    if (!row.dense.empty()) {
-        const std::int64_t next =
-            static_cast<std::int64_t>(row.dense[j]) + delta;
-        PAPC_CHECK(next >= 0);
-        row.dense[j] = static_cast<std::uint64_t>(next);
-        return;
-    }
-    const auto it = std::lower_bound(
-        row.sparse.begin(), row.sparse.end(), j,
-        [](const auto& entry, Opinion op) { return entry.first < op; });
-    if (it != row.sparse.end() && it->first == j) {
-        const std::int64_t next =
-            static_cast<std::int64_t>(it->second) + delta;
-        PAPC_CHECK(next >= 0);
-        if (next == 0) {
-            row.sparse.erase(it);  // entries hold strictly positive counts
-        } else {
-            it->second = static_cast<std::uint64_t>(next);
-        }
-        return;
-    }
-    PAPC_CHECK(delta > 0);
-    row.sparse.insert(it, {j, static_cast<std::uint64_t>(delta)});
-    // Promote at a quarter density: well before the 16-byte entries reach
-    // the 8 * k dense footprint, and early enough that a generation the
-    // whole population is flowing through does its per-node updates on the
-    // O(1) dense path rather than the insert-shifting small-map.
-    if (row.sparse.size() * 4 >= k_) promote_row(row);
+    if (row.empty()) row.assign(k_, 0);
+    const std::int64_t next = static_cast<std::int64_t>(row[j]) + delta;
+    PAPC_CHECK(next >= 0);
+    row[j] = static_cast<std::uint64_t>(next);
 }
 
-std::uint64_t GenerationCensus::row_get(const Row& row, Opinion j) const {
-    if (!row.dense.empty()) return row.dense[j];
-    const auto it = std::lower_bound(
-        row.sparse.begin(), row.sparse.end(), j,
-        [](const auto& entry, Opinion op) { return entry.first < op; });
-    return (it != row.sparse.end() && it->first == j) ? it->second : 0;
-}
-
-BiasStats GenerationCensus::row_stats(const Row& row) const {
-    if (!row.dense.empty()) return stats_from_counts(row.dense.data(), k_);
-    const auto& entries = row.sparse;
-    BiasStats s;
-    if (entries.empty()) return s;
-    std::uint64_t total = 0;
-    for (const auto& [op, count] : entries) total += count;
-    s.total = total;
-
-    // Two largest entries, earliest-opinion tie preference — entries are
-    // sorted by opinion, so this scan ranks exactly like the dense scan
-    // restricted to the non-zero cells.
-    std::size_t best = 0;
-    std::size_t second = entries.size();  // sentinel: unset
-    for (std::size_t i = 1; i < entries.size(); ++i) {
-        if (entries[i].second > entries[best].second) {
-            second = best;
-            best = i;
-        } else if (second == entries.size() ||
-                   entries[i].second > entries[second].second) {
-            second = i;
-        }
-    }
-    s.dominant = entries[best].first;
-    s.dominant_count = entries[best].second;
-    if (second == entries.size()) {
-        // Single non-zero cell. The dense scan's runner-up is then the
-        // lowest-index zero cell != dominant (count 0), or the dominant
-        // itself when k == 1.
-        s.runner_up = (k_ >= 2 && s.dominant == 0) ? 1
-                      : (k_ >= 2 ? 0 : s.dominant);
-        s.runner_up_count = 0;
-    } else {
-        s.runner_up = entries[second].first;
-        s.runner_up_count = entries[second].second;
-    }
-
-    if (s.runner_up_count == 0) {
-        s.alpha = std::numeric_limits<double>::infinity();
-    } else {
-        s.alpha = static_cast<double>(s.dominant_count) /
-                  static_cast<double>(s.runner_up_count);
-    }
-
-    double p = 0.0;
-    const double tot = static_cast<double>(total);
-    for (const auto& [op, count] : entries) {
-        const double f = static_cast<double>(count) / tot;
-        p += f * f;
-    }
-    s.collision_probability = p;
-    return s;
-}
-
-void GenerationCensus::reset(OpinionView opinions) {
+void GenerationCensus::reset(const std::vector<Opinion>& opinions) {
     PAPC_CHECK(opinions.size() == n_);
     rows_.clear();
     gen_totals_.clear();
@@ -302,7 +198,7 @@ void GenerationCensus::reset(OpinionView opinions) {
 }
 
 void GenerationCensus::rebuild(const std::vector<Generation>& generations,
-                               OpinionView opinions) {
+                               const std::vector<Opinion>& opinions) {
     PAPC_CHECK(generations.size() == n_);
     PAPC_CHECK(opinions.size() == n_);
     rows_.clear();
@@ -382,13 +278,13 @@ double GenerationCensus::generation_fraction(Generation i) const {
 
 std::uint64_t GenerationCensus::count(Generation i, Opinion j) const {
     PAPC_CHECK(j < k_);
-    if (i >= gen_totals_.size()) return 0;
-    return row_get(rows_[i], j);
+    if (i >= gen_totals_.size() || rows_[i].empty()) return 0;
+    return rows_[i][j];
 }
 
 BiasStats GenerationCensus::stats(Generation i) const {
     if (i >= gen_totals_.size()) return BiasStats{};
-    return row_stats(rows_[i]);
+    return stats_from_counts(rows_[i]);
 }
 
 BiasStats GenerationCensus::pooled_stats() const {
@@ -418,18 +314,11 @@ std::uint64_t GenerationCensus::opinion_total(Opinion j) const {
     return opinion_totals_[j];
 }
 
-bool GenerationCensus::row_is_sparse(Generation i) const {
-    return i < rows_.size() && rows_[i].dense.empty();
-}
-
 std::size_t GenerationCensus::memory_bytes() const {
     std::size_t bytes = rows_.capacity() * sizeof(Row) +
                         gen_totals_.capacity() * sizeof(std::uint64_t) +
                         opinion_totals_.capacity() * sizeof(std::uint64_t);
-    for (const Row& row : rows_) {
-        bytes += row.dense.capacity() * sizeof(std::uint64_t) +
-                 row.sparse.capacity() * sizeof(row.sparse[0]);
-    }
+    for (const Row& row : rows_) bytes += row.capacity() * sizeof(std::uint64_t);
     return bytes;
 }
 

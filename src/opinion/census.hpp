@@ -9,26 +9,14 @@
 ///   g_t(i)     fraction of nodes in generation i.
 ///
 /// GenerationCensus is maintained incrementally by the engines: O(1) per
-/// opinion/generation change. Since PR 7 its rows are adaptive: for
-/// k <= dense_k (default 64) a generation's counts are a dense k-vector,
-/// materialized on first touch; for larger k a generation starts as a
-/// sorted (opinion, count) small-map and is promoted to dense once a
-/// quarter of its cells are populated — so a run with k = 4096 opinions
-/// and a dozen mostly-sparse generations no longer carries
-/// generations × k dense rows in RSS. Both representations sit behind
-/// the same transition/apply_deltas/stats interface and produce
-/// identical results (tests/opinion/sparse_census_test.cpp).
-///
-/// The init paths (reset/rebuild) take OpinionView — a span-like view —
-/// so bit-packed opinion arrays (opinion/packed_array.hpp) seed a census
-/// without materializing an unpacked vector<Opinion> copy.
+/// opinion/generation change. Each generation's row is a dense k-vector
+/// of counts, allocated on first touch, so the census holds one k-row per
+/// populated generation — G* = O(log log_α k + log log n) of them.
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "opinion/types.hpp"
-#include "opinion/view.hpp"
 
 namespace papc {
 
@@ -48,9 +36,8 @@ class OpinionCensus {
 public:
     OpinionCensus(std::size_t n, std::uint32_t num_opinions);
 
-    /// Initializes from an opinion view (entries may be kUndecided).
-    /// vector<Opinion> converts implicitly; packed arrays pass .view().
-    void reset(OpinionView opinions);
+    /// Initializes from one opinion per node (entries may be kUndecided).
+    void reset(const std::vector<Opinion>& opinions);
 
     /// Records node transition `from` -> `to` (either may be kUndecided).
     void transition(Opinion from, Opinion to);
@@ -89,23 +76,14 @@ private:
 /// a cap that grows on demand (G* is tiny — O(log log n)).
 class GenerationCensus {
 public:
-    /// Rows with more opinions than this start as sparse small-maps.
-    static constexpr std::uint32_t kDefaultDenseK = 64;
-
     GenerationCensus(std::size_t n, std::uint32_t num_opinions);
 
-    /// Same with an explicit dense-row threshold: rows stay dense for
-    /// k <= dense_k. The equivalence tests force both representations on
-    /// one workload this way; dense_k = 0 makes every row start sparse.
-    GenerationCensus(std::size_t n, std::uint32_t num_opinions,
-                     std::uint32_t dense_k);
-
     /// All nodes start in generation 0 with the given opinions.
-    void reset(OpinionView opinions);
+    void reset(const std::vector<Opinion>& opinions);
 
     /// Rebuilds from full per-node generation and opinion sequences.
     void rebuild(const std::vector<Generation>& generations,
-                 OpinionView opinions);
+                 const std::vector<Opinion>& opinions);
 
     /// Records a node moving (gen_from, op_from) -> (gen_to, op_to).
     void transition(Generation gen_from, Opinion op_from,
@@ -153,32 +131,19 @@ public:
     /// Nodes holding opinion j across all generations — O(1).
     [[nodiscard]] std::uint64_t opinion_total(Opinion j) const;
 
-    /// True when generation i currently uses the sparse representation
-    /// (introspection for tests and the memory-anatomy bench counters).
-    [[nodiscard]] bool row_is_sparse(Generation i) const;
-
     /// Heap bytes held by the row storage (RSS accounting).
     [[nodiscard]] std::size_t memory_bytes() const;
 
 private:
-    /// One generation's counts: dense k-vector once materialized, else a
-    /// sorted (opinion, count) small-map holding only non-zero cells.
-    /// Both vectors empty = never-touched row (all counts zero).
-    struct Row {
-        std::vector<std::uint64_t> dense;
-        std::vector<std::pair<Opinion, std::uint64_t>> sparse;
-    };
+    /// One generation's counts: empty until first touched, then k cells.
+    using Row = std::vector<std::uint64_t>;
 
     void ensure_generation(Generation i);
     void refresh_highest(Generation candidate);
     void row_add(Row& row, Opinion j, std::int64_t delta);
-    [[nodiscard]] std::uint64_t row_get(const Row& row, Opinion j) const;
-    void promote_row(Row& row) const;
-    [[nodiscard]] BiasStats row_stats(const Row& row) const;
 
     std::size_t n_;
     std::uint32_t k_;
-    std::uint32_t dense_k_;
     /// Per-generation rows; rows() = gen_totals_.size() grows by doubling.
     std::vector<Row> rows_;
     std::vector<std::uint64_t> gen_totals_;           ///< [generation]
@@ -189,10 +154,6 @@ private:
 /// Computes BiasStats from a raw count vector (helper shared by both
 /// censuses; exposed for tests).
 [[nodiscard]] BiasStats stats_from_counts(const std::vector<std::uint64_t>& counts);
-
-/// Same, over a contiguous count row (used for the flat generation rows).
-[[nodiscard]] BiasStats stats_from_counts(const std::uint64_t* counts,
-                                          std::size_t k);
 
 /// Remark 2 lower bound: p >= (α² + k - 1)/(α + k - 1)².
 [[nodiscard]] double collision_probability_lower_bound(double alpha, std::uint32_t k);

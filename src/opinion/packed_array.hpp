@@ -24,10 +24,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "opinion/types.hpp"
-#include "opinion/view.hpp"
 #include "support/check.hpp"
 
 namespace papc {
@@ -168,16 +168,6 @@ public:
         words_.swap(other.words_);
         std::swap(n_, other.n_);
         std::swap(log2_lane_bits_, other.log2_lane_bits_);
-    }
-
-    /// Span-like view for the census init paths — no unpacked copy.
-    [[nodiscard]] OpinionView view() const {
-        return OpinionView(
-            this,
-            [](const void* self, std::size_t i) {
-                return static_cast<const PackedOpinionArray*>(self)->get(i);
-            },
-            n_);
     }
 
 private:

@@ -115,23 +115,18 @@ public:
     }
 
 private:
-    /// Per-interaction byzantine reporting target (policy-dependent).
+    /// Per-interaction byzantine reporting target; the policy resolves
+    /// afresh for each impersonation.
     [[nodiscard]] Opinion byzantine_target(std::uint32_t k) const {
-        switch (injector_->byzantine_policy()) {
-            case fault::ByzantinePolicy::kFixed:
-                return static_cast<Opinion>(k - 1);
-            case fault::ByzantinePolicy::kRandom: {
-                Rng stream = injector_->byzantine_round_stream(interactions_);
-                return static_cast<Opinion>(stream.uniform_index(k));
-            }
-            case fault::ByzantinePolicy::kAdaptive:
-                return fault::strongest_minority(k, [this](Opinion j) {
-                    return static_cast<std::uint64_t>(
-                        protocol_.output_fraction(j) * static_cast<double>(n_) +
-                        0.5);
-                });
-        }
-        return 0;
+        return injector_
+            ->byzantine_reports(interactions_, k,
+                                [this](Opinion j) {
+                                    return static_cast<std::uint64_t>(
+                                        protocol_.output_fraction(j) *
+                                            static_cast<double>(n_) +
+                                        0.5);
+                                })
+            .next();
     }
 
     PopulationProtocol& protocol_;

@@ -1,7 +1,5 @@
 #include "support/args.hpp"
 
-#include <cstdlib>
-
 namespace papc {
 
 Args::Args(int argc, const char* const* argv) {
@@ -37,24 +35,6 @@ std::string Args::get(const std::string& key, const std::string& fallback) const
     const auto it = values_.find(key);
     if (it == values_.end() || it->second.empty()) return fallback;
     return it->second;
-}
-
-std::int64_t Args::get_int(const std::string& key, std::int64_t fallback) const {
-    const std::string v = get(key, "");
-    if (v.empty()) return fallback;
-    return std::strtoll(v.c_str(), nullptr, 10);
-}
-
-std::uint64_t Args::get_uint(const std::string& key, std::uint64_t fallback) const {
-    const std::string v = get(key, "");
-    if (v.empty()) return fallback;
-    return std::strtoull(v.c_str(), nullptr, 10);
-}
-
-double Args::get_double(const std::string& key, double fallback) const {
-    const std::string v = get(key, "");
-    if (v.empty()) return fallback;
-    return std::strtod(v.c_str(), nullptr);
 }
 
 bool Args::get_flag(const std::string& key) const {

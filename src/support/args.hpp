@@ -4,7 +4,6 @@
 /// Minimal command-line argument parser for the example/CLI binaries.
 /// Supports `--key value`, `--key=value` and boolean `--flag` forms.
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -24,14 +23,9 @@ public:
     [[nodiscard]] bool has(const std::string& key) const;
 
     /// Value lookups with defaults; has(key) without a value yields the
-    /// default for typed getters and true for get_flag.
+    /// default for get and true for get_flag.
     [[nodiscard]] std::string get(const std::string& key,
                                   const std::string& fallback) const;
-    [[nodiscard]] std::int64_t get_int(const std::string& key,
-                                       std::int64_t fallback) const;
-    [[nodiscard]] std::uint64_t get_uint(const std::string& key,
-                                         std::uint64_t fallback) const;
-    [[nodiscard]] double get_double(const std::string& key, double fallback) const;
     [[nodiscard]] bool get_flag(const std::string& key) const;
 
     /// Options that were parsed but never queried — typo detection.

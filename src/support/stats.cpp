@@ -34,11 +34,6 @@ double RunningStat::min() const { return min_; }
 
 double RunningStat::max() const { return max_; }
 
-double RunningStat::sem() const {
-    if (count_ < 2) return 0.0;
-    return stddev() / std::sqrt(static_cast<double>(count_));
-}
-
 void RunningStat::merge(const RunningStat& other) {
     if (other.count_ == 0) return;
     if (count_ == 0) {

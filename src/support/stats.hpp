@@ -20,8 +20,6 @@ public:
     [[nodiscard]] double stddev() const;
     [[nodiscard]] double min() const;
     [[nodiscard]] double max() const;
-    /// Standard error of the mean; 0 for fewer than two samples.
-    [[nodiscard]] double sem() const;
 
     void merge(const RunningStat& other);
 

@@ -11,22 +11,6 @@ void TimeSeries::record(double time, double value) {
     points_.push_back({time, value});
 }
 
-double TimeSeries::value_at(double time) const {
-    PAPC_CHECK(!points_.empty());
-    auto it = std::upper_bound(
-        points_.begin(), points_.end(), time,
-        [](double t, const TimePoint& p) { return t < p.time; });
-    if (it == points_.begin()) return points_.front().value;
-    return std::prev(it)->value;
-}
-
-double TimeSeries::first_time_reaching(double threshold) const {
-    for (const auto& p : points_) {
-        if (p.value >= threshold) return p.time;
-    }
-    return -1.0;
-}
-
 TimeSeries TimeSeries::downsample(std::size_t max_points) const {
     PAPC_CHECK(max_points >= 2);
     TimeSeries out(name_);

@@ -29,14 +29,6 @@ public:
     [[nodiscard]] const TimePoint& operator[](std::size_t i) const { return points_[i]; }
     [[nodiscard]] const std::vector<TimePoint>& points() const { return points_; }
 
-    /// Value at the given time via step interpolation (last sample at or
-    /// before `time`); returns the first value for earlier queries.
-    [[nodiscard]] double value_at(double time) const;
-
-    /// First time at which the series reaches `threshold` (value >=), or a
-    /// negative value if it never does.
-    [[nodiscard]] double first_time_reaching(double threshold) const;
-
     /// Down-samples to at most `max_points` evenly spaced points (keeps the
     /// first and last). Used before printing long series.
     [[nodiscard]] TimeSeries downsample(std::size_t max_points) const;

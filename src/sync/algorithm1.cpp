@@ -111,31 +111,11 @@ void Algorithm1::begin_faulted_round() {
     byz_round_ = injector_->byzantine_active();
     if (!byz_round_) return;
     reported_state_ = state_;
-    const auto rewrite = [this](NodeId v, Opinion target) {
+    fault::ByzantineReports reports = injector_->byzantine_reports(
+        round_, k_, [this](Opinion j) { return census_.opinion_total(j); });
+    for (const NodeId v : injector_->byzantine_nodes()) {
         reported_state_[v] =
-            (reported_state_[v] & ~0xFFFFFFFFULL) | target;
-    };
-    switch (injector_->byzantine_policy()) {
-        case fault::ByzantinePolicy::kFixed:
-            for (const NodeId v : injector_->byzantine_nodes()) {
-                rewrite(v, static_cast<Opinion>(k_ - 1));
-            }
-            break;
-        case fault::ByzantinePolicy::kRandom: {
-            Rng stream = injector_->byzantine_round_stream(round_);
-            for (const NodeId v : injector_->byzantine_nodes()) {
-                rewrite(v, static_cast<Opinion>(stream.uniform_index(k_)));
-            }
-            break;
-        }
-        case fault::ByzantinePolicy::kAdaptive: {
-            const Opinion target = fault::strongest_minority(
-                k_, [this](Opinion j) { return census_.opinion_total(j); });
-            for (const NodeId v : injector_->byzantine_nodes()) {
-                rewrite(v, target);
-            }
-            break;
-        }
+            (reported_state_[v] & ~0xFFFFFFFFULL) | reports.next();
     }
 }
 

@@ -15,7 +15,7 @@ ColorVectorDynamics::ColorVectorDynamics(const Assignment& assignment,
     if (!allow_undecided) {
         for (const Opinion c : assignment.opinions) PAPC_CHECK(c != kUndecided);
     }
-    census_.reset(colors_.view());
+    census_.reset(assignment.opinions);
     // Worker-arena delta buffers: exactly k entries each, zeroed — the
     // between-rounds invariant commit_round() re-establishes.
     for (std::size_t w = 0; w < driver_.threads(); ++w) {
@@ -58,28 +58,11 @@ void ColorVectorDynamics::begin_faulted_round() {
     // else reports truthfully. O(n/lanes-per-word) words per round, paid
     // only while the byzantine layer is active.
     reported_ = colors_;
-    const std::uint32_t k = census_.num_opinions();
-    switch (injector_->byzantine_policy()) {
-        case fault::ByzantinePolicy::kFixed:
-            for (const NodeId v : injector_->byzantine_nodes()) {
-                reported_.set(v, static_cast<Opinion>(k - 1));
-            }
-            break;
-        case fault::ByzantinePolicy::kRandom: {
-            Rng stream = injector_->byzantine_round_stream(round_ + 1);
-            for (const NodeId v : injector_->byzantine_nodes()) {
-                reported_.set(v, static_cast<Opinion>(stream.uniform_index(k)));
-            }
-            break;
-        }
-        case fault::ByzantinePolicy::kAdaptive: {
-            const Opinion target = fault::strongest_minority(
-                k, [this](Opinion j) { return census_.count(j); });
-            for (const NodeId v : injector_->byzantine_nodes()) {
-                reported_.set(v, target);
-            }
-            break;
-        }
+    fault::ByzantineReports reports = injector_->byzantine_reports(
+        round_ + 1, census_.num_opinions(),
+        [this](Opinion j) { return census_.count(j); });
+    for (const NodeId v : injector_->byzantine_nodes()) {
+        reported_.set(v, reports.next());
     }
 }
 

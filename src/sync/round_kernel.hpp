@@ -76,14 +76,6 @@ static_assert(kRoundBlock % 32 == 0,
 /// consumers) prefetch speculative gather targets.
 inline constexpr std::size_t kPrefetchAhead = 16;
 
-inline void prefetch_read(const void* address) {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(address, 0 /*read*/, 1 /*low temporal locality*/);
-#else
-    (void)address;
-#endif
-}
-
 /// Issues a read prefetch for every array[idx[i]] of one block — a pure
 /// load/prefetch loop whose memory-level parallelism is bounded only by
 /// the cache hierarchy (the serially dependent RNG already ran in the

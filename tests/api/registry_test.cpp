@@ -141,6 +141,60 @@ TEST(ProtocolRegistry, ResultsAndExtrasMatchTheGoldenHashes) {
     }
 }
 
+/// The generation-census families at k = 100, far above the k <= 3 of the
+/// goldens above: pins the census rows and stats of a wide opinion space.
+TEST(ProtocolRegistry, HundredOpinionResultsMatchTheGoldenHashes) {
+    const std::map<std::string, std::uint64_t> hashes = {
+        {"async", 0x0d3061bcc29276a2ULL},
+        {"multi", 0x5950410e4488523bULL},
+        {"sync", 0xd0469fc5980bbda7ULL},
+        {"validated", 0x365171b831901018ULL},
+    };
+    for (const auto& [name, golden] : hashes) {
+        const Scenario s = tiny_scenario(name, 100);
+        const std::uint64_t hash = fnv1a(result_json(s, 2020, run(s, 2020)));
+        EXPECT_EQ(hash, golden) << name << " (k = 100): 0x" << std::hex << hash;
+    }
+}
+
+/// Faulted goldens under each Byzantine reporting policy, with a fifth of
+/// the nodes Byzantine so the policy shapes the trajectory, and the
+/// plurality series recorded so the hash pins the whole trajectory.
+TEST(ProtocolRegistry, ByzantinePolicyResultsMatchTheGoldenHashes) {
+    const fault::ByzantinePolicy policies[] = {fault::ByzantinePolicy::kFixed,
+                                               fault::ByzantinePolicy::kRandom,
+                                               fault::ByzantinePolicy::kAdaptive};
+    // Per protocol: fixed, random, adaptive.
+    const std::map<std::string, std::vector<std::uint64_t>> hashes = {
+        {"3-majority",
+         {0xcacef075b8da73c8ULL, 0x61aa14ecaac515a2ULL, 0xaecf5c974e14d621ULL}},
+        {"pp-undecided",
+         {0x16caee3de4dd44aeULL, 0x406dea78ae984fb8ULL, 0xa2c6a77548f8ae6cULL}},
+        {"sync",
+         {0xf1aaad56fbbeb091ULL, 0x201390868ea9e45fULL, 0x918febe70efe0498ULL}},
+        {"two-choices",
+         {0xcf1d468fe37d8a64ULL, 0x03c4ab49447514beULL, 0xa371ac92d45d3472ULL}},
+    };
+    for (const auto& [name, golden] : hashes) {
+        Scenario base = golden_scenario(name, true);
+        base.byzantine_frac = 0.2;
+        base.record_series = true;
+        std::set<std::string> runs;
+        for (std::size_t p = 0; p < 3; ++p) {
+            Scenario s = base;
+            s.byzantine_policy = policies[p];
+            const ScenarioResult r = run(s, 2020);
+            // Serialized against one scenario: only the run may differ.
+            runs.insert(result_json(base, 2020, r));
+            const std::uint64_t hash = fnv1a(result_json(s, 2020, r));
+            EXPECT_EQ(hash, golden[p])
+                << name << " (" << to_string(policies[p]) << "): 0x"
+                << std::hex << hash;
+        }
+        EXPECT_EQ(runs.size(), 3U) << name << ": a policy left the run unchanged";
+    }
+}
+
 TEST(ProtocolRegistry, FaultedGoldensExerciseEveryFaultCounter) {
     std::set<std::string> nonzero;
     for (const auto& [name, golden] : golden_hashes()) {

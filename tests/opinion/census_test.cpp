@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
+
+#include "support/random.hpp"
 
 namespace papc {
 namespace {
@@ -255,6 +259,121 @@ TEST(GenerationCensus, ApplyDeltasGrowsGenerationCap) {
     EXPECT_EQ(c.highest_populated(), 39U);
     EXPECT_EQ(c.count(39, 0), 1U);
     EXPECT_EQ(c.generation_size(0), 1U);
+}
+
+/// Every count, total and stat of two censuses agree, generation by
+/// generation up to one past the highest populated.
+void expect_census_equal(const GenerationCensus& a, const GenerationCensus& b,
+                         std::uint32_t k) {
+    ASSERT_EQ(a.highest_populated(), b.highest_populated());
+    for (Generation g = 0; g <= b.highest_populated() + 1; ++g) {
+        ASSERT_EQ(a.generation_size(g), b.generation_size(g)) << "g=" << g;
+        for (Opinion j = 0; j < k; ++j) {
+            ASSERT_EQ(a.count(g, j), b.count(g, j)) << "g=" << g << " j=" << j;
+        }
+        const BiasStats sa = a.stats(g);
+        const BiasStats sb = b.stats(g);
+        EXPECT_EQ(sa.dominant, sb.dominant) << "g=" << g;
+        EXPECT_EQ(sa.runner_up, sb.runner_up) << "g=" << g;
+        EXPECT_EQ(sa.alpha, sb.alpha) << "g=" << g;
+        EXPECT_EQ(sa.collision_probability, sb.collision_probability) << "g=" << g;
+    }
+    for (Opinion j = 0; j < k; ++j) {
+        ASSERT_EQ(a.opinion_total(j), b.opinion_total(j)) << "j=" << j;
+    }
+    EXPECT_EQ(a.converged(), b.converged());
+}
+
+TEST(GenerationCensus, RandomDeltaStreamMatchesTransitionStream) {
+    // Random legal delta blocks over a wide opinion space: random movers
+    // re-placed in [gen, gen + 1] with a random opinion, the shape of a
+    // round kernel's fused-census commit. The same moves as transitions,
+    // and a rebuild from the final per-node state, must agree.
+    Rng rng(1102);
+    const std::size_t n = 3000;
+    const std::uint32_t k = 80;
+    std::vector<Opinion> ops(n);
+    for (auto& op : ops) op = static_cast<Opinion>(rng.uniform_index(k));
+    GenerationCensus via_deltas(n, k);
+    GenerationCensus via_transitions(n, k);
+    via_deltas.reset(ops);
+    via_transitions.reset(ops);
+
+    std::vector<Generation> gens(n, 0);
+    for (int round = 0; round < 60; ++round) {
+        const Generation rows = via_deltas.highest_populated() + 2;
+        std::vector<std::int64_t> deltas(static_cast<std::size_t>(rows) * k, 0);
+        for (int move = 0; move < 500; ++move) {
+            const std::size_t v = rng.uniform_index(n);
+            // A node drawn twice in one block may not climb past the
+            // block's row bound (real rounds move each node once).
+            const Generation gen_to = std::min<Generation>(
+                gens[v] +
+                    static_cast<Generation>(rng.uniform_index(4) == 0 ? 1 : 0),
+                rows - 1);
+            const auto op_to = static_cast<Opinion>(rng.uniform_index(k));
+            --deltas[static_cast<std::size_t>(gens[v]) * k + ops[v]];
+            ++deltas[static_cast<std::size_t>(gen_to) * k + op_to];
+            via_transitions.transition(gens[v], ops[v], gen_to, op_to);
+            gens[v] = gen_to;
+            ops[v] = op_to;
+        }
+        via_deltas.apply_deltas(deltas, rows);
+    }
+    ASSERT_GT(via_deltas.highest_populated(), 0U);
+    expect_census_equal(via_deltas, via_transitions, k);
+
+    GenerationCensus rebuilt(n, k);
+    rebuilt.rebuild(gens, ops);
+    expect_census_equal(rebuilt, via_transitions, k);
+}
+
+TEST(GenerationCensus, SinglePopulatedCellRunnerUpIsTheLowestOtherCell) {
+    // With one populated cell the runner-up is the lowest-index zero cell
+    // other than the dominant (count 0, alpha = inf).
+    const std::uint32_t k = 40;
+    GenerationCensus at_zero(10, k);
+    at_zero.reset(std::vector<Opinion>(10, 0));
+    EXPECT_EQ(at_zero.stats(0).dominant, 0U);
+    EXPECT_EQ(at_zero.stats(0).runner_up, 1U);
+    EXPECT_EQ(at_zero.stats(0).runner_up_count, 0U);
+    EXPECT_TRUE(std::isinf(at_zero.stats(0).alpha));
+
+    GenerationCensus at_seven(10, k);
+    at_seven.reset(std::vector<Opinion>(10, 7));
+    EXPECT_EQ(at_seven.stats(0).dominant, 7U);
+    EXPECT_EQ(at_seven.stats(0).runner_up, 0U);
+    EXPECT_TRUE(std::isinf(at_seven.stats(0).alpha));
+}
+
+TEST(GenerationCensus, TiedDominantsRankByOpinion) {
+    GenerationCensus c(10, 40);
+    c.reset({3, 3, 3, 3, 3, 9, 9, 9, 9, 9});
+    const BiasStats s = c.stats(0);
+    EXPECT_EQ(s.dominant, 3U);
+    EXPECT_EQ(s.runner_up, 9U);
+    EXPECT_DOUBLE_EQ(s.alpha, 1.0);
+    EXPECT_DOUBLE_EQ(s.collision_probability, 0.5);
+}
+
+TEST(GenerationCensus, EmptyRowStatsAreTheDefaults) {
+    // A never-touched row and a row whose last node left both report the
+    // default BiasStats.
+    GenerationCensus c(4, 40);
+    c.reset({1, 2, 3, 4});
+    c.transition(0, 1, 3, 1);
+    c.transition(3, 1, 0, 1);
+    for (const Generation g : {Generation{2}, Generation{3}, Generation{9}}) {
+        const BiasStats s = c.stats(g);
+        const BiasStats d;
+        EXPECT_EQ(s.total, d.total) << g;
+        EXPECT_EQ(s.dominant, d.dominant) << g;
+        EXPECT_EQ(s.runner_up, d.runner_up) << g;
+        EXPECT_EQ(s.dominant_count, d.dominant_count) << g;
+        EXPECT_EQ(s.runner_up_count, d.runner_up_count) << g;
+        EXPECT_EQ(s.alpha, d.alpha) << g;
+        EXPECT_EQ(s.collision_probability, d.collision_probability) << g;
+    }
 }
 
 TEST(OpinionCensus, ApplyDeltasMatchesTransitions) {

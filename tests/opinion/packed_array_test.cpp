@@ -1,9 +1,8 @@
 /// \file packed_array_test.cpp
 /// PackedOpinionArray unit contract (PR 7): lane-width selection per k,
 /// set/get round-trips including the undecided sentinel at every width,
-/// the sequential Writer against per-lane set(), shard-boundary word
-/// ownership (kRoundBlock-aligned ranges never share a word), and the
-/// census init path through view() matching a materialized vector.
+/// the sequential Writer against per-lane set(), and shard-boundary word
+/// ownership (kRoundBlock-aligned ranges never share a word).
 
 #include "opinion/packed_array.hpp"
 
@@ -12,7 +11,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "opinion/census.hpp"
 #include "support/random.hpp"
 
 namespace papc {
@@ -125,27 +123,6 @@ TEST(PackedOpinionArray, ShardRangesNeverShareWords) {
         ASSERT_EQ(array.get(i), 2U) << i;  // shard 0 untouched
         ASSERT_EQ(array.get(4096 + i), 1U) << i;
     }
-}
-
-TEST(PackedOpinionArray, ViewFeedsCensusWithoutUnpackedCopy) {
-    Rng rng(904);
-    const std::uint32_t k = 13;
-    const std::size_t n = 5000;
-    std::vector<Opinion> source(n);
-    for (auto& op : source) {
-        const std::uint64_t draw = rng.uniform_index(k + 1);
-        op = draw == k ? kUndecided : static_cast<Opinion>(draw);
-    }
-    const PackedOpinionArray packed(source, k);
-
-    OpinionCensus from_vector(n, k);
-    from_vector.reset(source);
-    OpinionCensus from_view(n, k);
-    from_view.reset(packed.view());
-    for (Opinion j = 0; j < k; ++j) {
-        EXPECT_EQ(from_view.count(j), from_vector.count(j)) << "opinion " << j;
-    }
-    EXPECT_EQ(from_view.undecided_count(), from_vector.undecided_count());
 }
 
 TEST(PackedOpinionArray, SwapExchangesStorage) {

@@ -14,14 +14,14 @@ Args parse(std::initializer_list<const char*> tokens) {
 TEST(Args, KeyValuePairs) {
     const Args a = parse({"--n", "100", "--alpha", "1.5"});
     ASSERT_TRUE(a.ok());
-    EXPECT_EQ(a.get_uint("n", 0), 100U);
-    EXPECT_DOUBLE_EQ(a.get_double("alpha", 0.0), 1.5);
+    EXPECT_EQ(a.get("n", ""), "100");
+    EXPECT_EQ(a.get("alpha", ""), "1.5");
 }
 
 TEST(Args, EqualsSyntax) {
     const Args a = parse({"--n=42", "--name=test"});
     ASSERT_TRUE(a.ok());
-    EXPECT_EQ(a.get_int("n", 0), 42);
+    EXPECT_EQ(a.get("n", ""), "42");
     EXPECT_EQ(a.get("name", ""), "test");
 }
 
@@ -30,7 +30,7 @@ TEST(Args, Flags) {
     ASSERT_TRUE(a.ok());
     EXPECT_TRUE(a.get_flag("verbose"));
     EXPECT_FALSE(a.get_flag("quiet"));
-    EXPECT_EQ(a.get_int("n", 0), 5);
+    EXPECT_EQ(a.get("n", ""), "5");
 }
 
 TEST(Args, FlagWithExplicitValue) {
@@ -43,8 +43,6 @@ TEST(Args, Defaults) {
     const Args a = parse({});
     ASSERT_TRUE(a.ok());
     EXPECT_EQ(a.get("missing", "fallback"), "fallback");
-    EXPECT_EQ(a.get_int("missing", -7), -7);
-    EXPECT_DOUBLE_EQ(a.get_double("missing", 2.5), 2.5);
     EXPECT_FALSE(a.has("missing"));
 }
 
@@ -63,7 +61,7 @@ TEST(Args, TrailingFlag) {
 TEST(Args, UnusedDetection) {
     const Args a = parse({"--used", "1", "--typo", "2"});
     ASSERT_TRUE(a.ok());
-    (void)a.get_int("used", 0);
+    (void)a.get("used", "");
     const auto unused = a.unused();
     ASSERT_EQ(unused.size(), 1U);
     EXPECT_EQ(unused[0], "typo");
@@ -74,8 +72,8 @@ TEST(Args, UnknownOptionErrorNamesTheTypo) {
     // silently ignored default.
     const Args a = parse({"--lamda", "2", "--n", "100"});
     ASSERT_TRUE(a.ok());
-    (void)a.get_uint("n", 0);
-    (void)a.get_double("lambda", 1.0);  // the *correct* spelling
+    (void)a.get("n", "");
+    (void)a.get("lambda", "");  // the *correct* spelling
     const std::string error = a.unknown_option_error();
     EXPECT_NE(error.find("unknown option"), std::string::npos);
     EXPECT_NE(error.find("--lamda"), std::string::npos);
@@ -85,7 +83,7 @@ TEST(Args, UnknownOptionErrorNamesTheTypo) {
 TEST(Args, UnknownOptionErrorEmptyWhenAllQueried) {
     const Args a = parse({"--n", "100"});
     ASSERT_TRUE(a.ok());
-    (void)a.get_uint("n", 0);
+    (void)a.get("n", "");
     EXPECT_TRUE(a.unknown_option_error().empty());
 }
 
@@ -102,7 +100,7 @@ TEST(Args, NegativeNumberValue) {
     const Args a = parse({"--offset", "-5"});
     ASSERT_TRUE(a.ok());
     // "-5" does not start with "--", so it binds as the value.
-    EXPECT_EQ(a.get_int("offset", 0), -5);
+    EXPECT_EQ(a.get("offset", ""), "-5");
 }
 
 }  // namespace

@@ -28,29 +28,5 @@ TEST(LogAddExp, NegativeInfinityIdentity) {
     EXPECT_DOUBLE_EQ(log_add_exp(2.0, neg_inf), 2.0);
 }
 
-TEST(CeilLog2, KnownValues) {
-    EXPECT_EQ(ceil_log2(1), 0);
-    EXPECT_EQ(ceil_log2(2), 1);
-    EXPECT_EQ(ceil_log2(3), 2);
-    EXPECT_EQ(ceil_log2(4), 2);
-    EXPECT_EQ(ceil_log2(5), 3);
-    EXPECT_EQ(ceil_log2(1024), 10);
-    EXPECT_EQ(ceil_log2(1025), 11);
-}
-
-TEST(ClampSafe, NormalAndDegenerate) {
-    EXPECT_DOUBLE_EQ(clamp_safe(5.0, 0.0, 10.0), 5.0);
-    EXPECT_DOUBLE_EQ(clamp_safe(-1.0, 0.0, 10.0), 0.0);
-    EXPECT_DOUBLE_EQ(clamp_safe(11.0, 0.0, 10.0), 10.0);
-    // Degenerate hi < lo returns lo.
-    EXPECT_DOUBLE_EQ(clamp_safe(5.0, 10.0, 0.0), 10.0);
-}
-
-TEST(ApproxEqual, RelativeAndAbsolute) {
-    EXPECT_TRUE(approx_equal(1.0, 1.0 + 1e-12));
-    EXPECT_FALSE(approx_equal(1.0, 1.001));
-    EXPECT_TRUE(approx_equal(1e9, 1e9 * (1.0 + 1e-12)));
-}
-
 }  // namespace
 }  // namespace papc

@@ -12,7 +12,6 @@ TEST(RunningStat, EmptyIsZero) {
     EXPECT_EQ(s.count(), 0U);
     EXPECT_DOUBLE_EQ(s.mean(), 0.0);
     EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(s.sem(), 0.0);
 }
 
 TEST(RunningStat, SingleValue) {

@@ -15,29 +15,6 @@ TEST(TimeSeries, RecordAndAccess) {
     EXPECT_DOUBLE_EQ(ts[2].value, 3.0);
 }
 
-TEST(TimeSeries, ValueAtUsesStepInterpolation) {
-    TimeSeries ts;
-    ts.record(0.0, 10.0);
-    ts.record(2.0, 20.0);
-    ts.record(4.0, 30.0);
-    EXPECT_DOUBLE_EQ(ts.value_at(-1.0), 10.0);
-    EXPECT_DOUBLE_EQ(ts.value_at(0.0), 10.0);
-    EXPECT_DOUBLE_EQ(ts.value_at(1.99), 10.0);
-    EXPECT_DOUBLE_EQ(ts.value_at(2.0), 20.0);
-    EXPECT_DOUBLE_EQ(ts.value_at(3.5), 20.0);
-    EXPECT_DOUBLE_EQ(ts.value_at(100.0), 30.0);
-}
-
-TEST(TimeSeries, FirstTimeReaching) {
-    TimeSeries ts;
-    ts.record(0.0, 0.2);
-    ts.record(1.0, 0.5);
-    ts.record(2.0, 0.9);
-    EXPECT_DOUBLE_EQ(ts.first_time_reaching(0.5), 1.0);
-    EXPECT_DOUBLE_EQ(ts.first_time_reaching(0.1), 0.0);
-    EXPECT_LT(ts.first_time_reaching(0.99), 0.0);
-}
-
 TEST(TimeSeries, DownsampleKeepsEndpoints) {
     TimeSeries ts;
     for (int i = 0; i <= 100; ++i) {

@@ -508,7 +508,8 @@ RULES = [
              "fault-layer reference outside the sanctioned injection "
              "points; faults interpose at the engine drivers and "
              "executors, never inside kernels or support code"),
-            (re.compile(r"\bdraw_fate\s*\(|\bbyzantine_round_stream\s*\("),
+            (re.compile(r"\bdraw_fate\s*\(|\bbyzantine_round_stream\s*\(|"
+                        r"\bbyzantine_reports\s*\("),
              "injector draw call outside the sanctioned injection points"),
         ],
     ),
