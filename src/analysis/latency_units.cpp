@@ -77,6 +77,16 @@ double integrate(F&& f, double upper) {
     return sum * half;
 }
 
+/// Sample q-quantile of `samples` successive draw() calls.
+template <typename Draw>
+double monte_carlo_quantile(double q, std::size_t samples, Draw&& draw) {
+    PAPC_CHECK(samples >= 10);
+    std::vector<double> draws;
+    draws.reserve(samples);
+    for (std::size_t i = 0; i < samples; ++i) draws.push_back(draw());
+    return quantile(std::move(draws), q);
+}
+
 }  // namespace
 
 double t3_cdf_exponential(double lambda, double t) {
@@ -142,13 +152,8 @@ double sample_t3(const sim::LatencyModel& latency, Rng& rng) {
 
 double t3_quantile_monte_carlo(const sim::LatencyModel& latency, double q,
                                std::size_t samples, Rng& rng) {
-    PAPC_CHECK(samples >= 10);
-    std::vector<double> draws;
-    draws.reserve(samples);
-    for (std::size_t i = 0; i < samples; ++i) {
-        draws.push_back(sample_t3(latency, rng));
-    }
-    return quantile(std::move(draws), q);
+    return monte_carlo_quantile(q, samples,
+                                [&] { return sample_t3(latency, rng); });
 }
 
 double sample_validated_cycle(const sim::LatencyModel& channel,
@@ -170,13 +175,9 @@ double validated_cycle_quantile_monte_carlo(const sim::LatencyModel& channel,
                                             const sim::LatencyModel& message,
                                             double q, std::size_t samples,
                                             Rng& rng) {
-    PAPC_CHECK(samples >= 10);
-    std::vector<double> draws;
-    draws.reserve(samples);
-    for (std::size_t i = 0; i < samples; ++i) {
-        draws.push_back(sample_validated_cycle(channel, message, rng));
-    }
-    return quantile(std::move(draws), q);
+    return monte_carlo_quantile(q, samples, [&] {
+        return sample_validated_cycle(channel, message, rng);
+    });
 }
 
 double sample_cluster_exchange(const sim::LatencyModel& latency, Rng& rng) {
@@ -197,13 +198,8 @@ double sample_cluster_exchange(const sim::LatencyModel& latency, Rng& rng) {
 double cluster_exchange_quantile_monte_carlo(const sim::LatencyModel& latency,
                                              double q, std::size_t samples,
                                              Rng& rng) {
-    PAPC_CHECK(samples >= 10);
-    std::vector<double> draws;
-    draws.reserve(samples);
-    for (std::size_t i = 0; i < samples; ++i) {
-        draws.push_back(sample_cluster_exchange(latency, rng));
-    }
-    return quantile(std::move(draws), q);
+    return monte_carlo_quantile(q, samples,
+                                [&] { return sample_cluster_exchange(latency, rng); });
 }
 
 Figure1Row figure1_row(double lambda, std::size_t mc_samples, Rng& rng) {

@@ -271,12 +271,12 @@ Config event_config(const Scenario& s) {
 }
 
 /// The async and sequential engines share one driver.
-template <typename Simulation, std::uint64_t kWorkloadSalt, std::uint64_t kRunSalt>
+template <typename Simulation>
 async::AsyncResult single_leader(const Scenario& s, std::uint64_t seed) {
-    Rng workload_rng(derive_seed(seed, kWorkloadSalt));
+    Rng workload_rng(derive_seed(seed, Simulation::kWorkloadSalt));
     Simulation simulation(build_assignment(s, workload_rng),
                           event_config<async::AsyncConfig>(s),
-                          derive_seed(seed, kRunSalt));
+                          derive_seed(seed, Simulation::kRunSalt));
     return simulation.run();
 }
 
@@ -322,10 +322,11 @@ void register_builtins(ProtocolRegistry& registry) {
         [](const auto& p) { return p.undecided_count(); },
         [](const auto& c) { return population::KUndecided(c); });
 
-    // Seed salts as in async::run_single_leader and cluster::run_multi_leader,
-    // so the biased workload reproduces them bit-for-bit (pinned by the api
-    // tests). The sequential reference is a plain tick loop: no threads and no
-    // queue, but lambda still sets its auto window.
+    // Each engine class names its seed salts, which its run_* helper
+    // (async::run_single_leader and siblings, cluster::run_multi_leader)
+    // uses too, so the biased workload reproduces them bit-for-bit (pinned
+    // by the api tests). The sequential reference is a plain tick loop: no
+    // threads and no queue, but lambda still sets its auto window.
     const std::vector<std::string> sequential_knobs = {"lambda", "max-time",
                                                        "sample-interval", "window"};
     const std::vector<std::string> event_knobs = {
@@ -334,36 +335,38 @@ void register_builtins(ProtocolRegistry& registry) {
         {"async", "async", "asynchronous single-leader protocol (Algorithms 2+3)",
          event_knobs, {}, 2, 0},
         async::AsyncResult(),
-        single_leader<async::SingleLeaderSimulation, 0xA551, 0x51>);
+        single_leader<async::SingleLeaderSimulation>);
     add(registry,
         {"sequential", "async",
          "sequentialized single-leader reference (instant channels)",
          sequential_knobs, {}, 2, 0},
         async::AsyncResult(),
-        single_leader<async::SequentialSingleLeaderSimulation, 0xA553, 0x53>);
+        single_leader<async::SequentialSingleLeaderSimulation>);
     add(registry,
         {"validated", "async",
          "single-leader with validated commits under message latencies (Section 5)",
          with("msg-rate", event_knobs), {}, 2, 0},
         async::ValidatedResult(), [](const Scenario& s, std::uint64_t seed) {
-            Rng workload_rng(derive_seed(seed, 0xA552));
-            async::ValidatedSingleLeaderSimulation simulation(
+            using Simulation = async::ValidatedSingleLeaderSimulation;
+            Rng workload_rng(derive_seed(seed, Simulation::kWorkloadSalt));
+            Simulation simulation(
                 build_assignment(s, workload_rng), event_config<async::AsyncConfig>(s),
                 sim::make_exponential_latency(s.lambda),
-                sim::make_exponential_latency(s.msg_rate), derive_seed(seed, 0x52));
+                sim::make_exponential_latency(s.msg_rate),
+                derive_seed(seed, Simulation::kRunSalt));
             return simulation.run();
         });
     add(registry,
         {"multi", "cluster", "decentralized multi-leader protocol (Algorithms 4+5)",
          event_knobs, {}, 2, 0},
         cluster::MultiLeaderResult(), [](const Scenario& s, std::uint64_t seed) {
-            Rng workload_rng(derive_seed(seed, 0xC1A0));
-            Rng clustering_rng(derive_seed(seed, 0xC1A1));
+            using Simulation = cluster::MultiLeaderSimulation;
+            Rng workload_rng(derive_seed(seed, Simulation::kWorkloadSalt));
+            Rng clustering_rng(derive_seed(seed, Simulation::kClusteringSalt));
             const auto config = event_config<cluster::ClusterConfig>(s);
-            cluster::MultiLeaderSimulation simulation(
-                build_assignment(s, workload_rng),
-                cluster::run_clustering(s.n, config, clustering_rng), config,
-                derive_seed(seed, 0xC1A2));
+            Simulation simulation(build_assignment(s, workload_rng),
+                                  cluster::run_clustering(s.n, config, clustering_rng),
+                                  config, derive_seed(seed, Simulation::kRunSalt));
             return simulation.run();
         });
 }

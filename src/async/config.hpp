@@ -9,14 +9,16 @@
 
 namespace papc::async {
 
-struct AsyncConfig : sim::EventConfig {
-    /// Length of the leader's two-choices window in *time units*
-    /// (Proposition 16 uses ≈ 2 units). Converted into the 0-signal count
-    /// threshold C3·n internally using the measured steps-per-unit C1.
-    double two_choices_units = 2.0;
+/// Length of the leader's two-choices window in *time units* (Proposition
+/// 16 uses ≈ 2 units). Converted into the 0-signal count threshold C3·n
+/// using the measured steps-per-unit C1.
+inline constexpr double kTwoChoicesUnits = 2.0;
 
-    /// gen_size threshold as a fraction of n (Algorithm 3 uses ⌈n/2⌉).
-    double generation_size_fraction = 0.5;
-};
+/// gen_size threshold as a fraction of n (Algorithm 3 uses ⌈n/2⌉).
+inline constexpr double kGenerationSizeFraction = 0.5;
+
+/// The single-leader engines add no knob to sim::EventConfig; their
+/// protocol constants are the two above.
+using AsyncConfig = sim::EventConfig;
 
 }  // namespace papc::async

@@ -133,10 +133,11 @@ AsyncResult SequentialSingleLeaderSimulation::run() {
 AsyncResult run_sequential_single_leader(std::size_t n, std::uint32_t k,
                                          double alpha, const AsyncConfig& config,
                                          std::uint64_t seed) {
-    Rng workload_rng(derive_seed(seed, 0xA553));
+    Rng workload_rng(derive_seed(seed, SequentialSingleLeaderSimulation::kWorkloadSalt));
     const Assignment assignment = make_biased_plurality(n, k, alpha, workload_rng);
-    SequentialSingleLeaderSimulation simulation(assignment, config,
-                                                derive_seed(seed, 0x53));
+    SequentialSingleLeaderSimulation simulation(
+        assignment, config,
+        derive_seed(seed, SequentialSingleLeaderSimulation::kRunSalt));
     return simulation.run();
 }
 

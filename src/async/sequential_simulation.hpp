@@ -36,6 +36,11 @@ namespace papc::async {
 /// Sequentialized single-leader protocol (no latencies).
 class SequentialSingleLeaderSimulation final : public SingleLeaderCore {
 public:
+    /// Seed salts of run_sequential_single_leader and api::run, as in
+    /// SingleLeaderSimulation.
+    static constexpr std::uint64_t kWorkloadSalt = 0xA553;
+    static constexpr std::uint64_t kRunSalt = 0x53;
+
     SequentialSingleLeaderSimulation(const Assignment& assignment,
                                      const AsyncConfig& config,
                                      std::uint64_t seed);

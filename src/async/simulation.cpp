@@ -182,9 +182,10 @@ AsyncResult SingleLeaderSimulation::run() {
 
 AsyncResult run_single_leader(std::size_t n, std::uint32_t k, double alpha,
                               const AsyncConfig& config, std::uint64_t seed) {
-    Rng workload_rng(derive_seed(seed, 0xA551));
+    Rng workload_rng(derive_seed(seed, SingleLeaderSimulation::kWorkloadSalt));
     const Assignment assignment = make_biased_plurality(n, k, alpha, workload_rng);
-    SingleLeaderSimulation simulation(assignment, config, derive_seed(seed, 0x51));
+    SingleLeaderSimulation simulation(
+        assignment, config, derive_seed(seed, SingleLeaderSimulation::kRunSalt));
     return simulation.run();
 }
 

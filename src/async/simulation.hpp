@@ -31,6 +31,12 @@ struct AsyncEvent;
 /// Single-leader asynchronous simulation.
 class SingleLeaderSimulation final : public SingleLeaderCore {
 public:
+    /// Seed salts of run_single_leader and api::run, so both build the same
+    /// run from one seed: the workload draws from derive_seed(seed,
+    /// kWorkloadSalt), the engine from derive_seed(seed, kRunSalt).
+    static constexpr std::uint64_t kWorkloadSalt = 0xA551;
+    static constexpr std::uint64_t kRunSalt = 0x51;
+
     /// Uses Exponential(config.lambda) latencies.
     SingleLeaderSimulation(const Assignment& assignment, const AsyncConfig& config,
                            std::uint64_t seed);

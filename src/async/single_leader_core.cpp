@@ -1,5 +1,6 @@
 #include "async/single_leader_core.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "analysis/theory.hpp"
@@ -27,18 +28,18 @@ SingleLeaderCore::~SingleLeaderCore() = default;
 void SingleLeaderCore::open_leader(double steps_per_unit) {
     PAPC_CHECK(!started_);
     started_ = true;
-    // Leader thresholds: C3·n 0-signals span `two_choices_units` time units
+    // Leader thresholds: C3·n 0-signals span kTwoChoicesUnits time units
     // (Proposition 16); the generation-size gate is ⌈fraction·n⌉.
     const auto n = static_cast<double>(nodes_.size());
     result_.steps_per_unit = steps_per_unit;
     LeaderConfig leader_config;
     leader_config.zero_signal_threshold = static_cast<std::uint64_t>(
-        std::ceil(config_.two_choices_units * steps_per_unit * n));
+        std::ceil(kTwoChoicesUnits * steps_per_unit * n));
     leader_config.generation_size_threshold = static_cast<std::uint64_t>(
-        std::ceil(config_.generation_size_fraction * n));
+        std::ceil(kGenerationSizeFraction * n));
     leader_config.max_generation = analysis::total_generations(
         std::max(config_.alpha_hint, 1.0 + 1e-9), census_.num_opinions(),
-        nodes_.size(), config_.generation_slack);
+        nodes_.size(), sim::kGenerationSlack);
     leader_ = std::make_unique<Leader>(leader_config);
 }
 
@@ -61,17 +62,12 @@ void SingleLeaderCore::drive() {
 
 AsyncResult SingleLeaderCore::finish() {
     for (const ShardScratch& scratch : scratch_) {
-        result_.ticks += scratch.ticks;
+        fold_shard(scratch, result_);
         result_.good_ticks += scratch.good_ticks;
-        result_.exchanges += scratch.exchanges;
-        result_.two_choices_count += scratch.two_choices;
-        result_.propagation_count += scratch.propagation;
         result_.refresh_count += scratch.refresh;
         result_.channels_opened += scratch.channels_opened;
-        result_.faults.crash_skips += scratch.crash_skips;
     }
-    result_.signals_delivered = load_.signals;
-    result_.leader_peak_load = static_cast<double>(std::max(load_.peak, load_.count));
+    fold_leader(load_, result_);
     result_.leader_trace = leader_->trace();
     return std::move(result_);
 }

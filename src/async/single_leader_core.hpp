@@ -8,7 +8,7 @@
 /// single-leader protocol state to sim::EventEngine (sim/event_engine.hpp,
 /// which holds the census, the injector, the shard census moves and the
 /// porting notes every windowed engine follows): nodes and their window
-/// snapshot, the leader, C1 and the leader-signal load accounting. An
+/// snapshot, the leader and its sim::LeaderLoad meter, and C1. An
 /// engine adds its event type, its advance() handler and its C1
 /// measurement, and its run() is:
 ///
@@ -21,7 +21,6 @@
 /// The hot-path helpers (deliver_*_signal) are inline and non-virtual, so
 /// handlers pay no call overhead for them.
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -62,19 +61,14 @@ protected:
     /// leader's mutable state is only ever touched from there.
     static constexpr std::size_t kLeaderShard = 0;
 
-    /// Shard-owned event counters for the whole run. Cache-line aligned so
-    /// neighbouring shards never contend.
-    struct alignas(64) ShardScratch {
-        std::uint64_t ticks = 0;
+    /// Shard-owned event counters for the whole run: the shared block plus
+    /// the single-leader ones.
+    struct ShardScratch : sim::ShardCounters {
         std::uint64_t good_ticks = 0;
-        std::uint64_t exchanges = 0;
-        std::uint64_t two_choices = 0;
-        std::uint64_t propagation = 0;
         std::uint64_t refresh = 0;
         std::uint64_t channels_opened = 0;
-        std::uint64_t commits = 0;      ///< validated updates applied
-        std::uint64_t aborts = 0;       ///< updates dropped by validation
-        std::uint64_t crash_skips = 0;  ///< ticks/exchanges of down nodes
+        std::uint64_t commits = 0;  ///< validated updates applied
+        std::uint64_t aborts = 0;   ///< updates dropped by validation
     };
 
     SingleLeaderCore(const Assignment& assignment, const AsyncConfig& config,
@@ -115,14 +109,15 @@ protected:
     [[nodiscard]] AsyncResult finish();
 
     /// A 0-signal / i-signal reaches the leader at `time`: it counts as
-    /// delivered, and a leader that is up acts on it (Algorithm 3). Only
-    /// the leader's shard calls these during a window.
+    /// delivered whether or not the leader is up, and a leader that is up
+    /// acts on it (Algorithm 3). Only the leader's shard calls these during
+    /// a window.
     void deliver_zero_signal(double time) {
-        record_leader_signal(time);
+        load_.record(time);
         if (leader_up(time)) leader_->on_zero_signal(time);
     }
     void deliver_gen_signal(double time, Generation gen) {
-        record_leader_signal(time);
+        load_.record(time);
         if (leader_up(time)) leader_->on_gen_signal(time, gen);
     }
 
@@ -146,27 +141,8 @@ private:
         return injector_ == nullptr || !injector_->leader_down(time);
     }
 
-    /// Leader congestion accounting (§4.5): one signal arriving at `time`.
-    void record_leader_signal(double time) {
-        ++load_.signals;
-        const auto bucket = static_cast<std::int64_t>(time);
-        if (bucket != load_.bucket) {
-            load_.peak = std::max(load_.peak, load_.count);
-            load_.bucket = bucket;
-            load_.count = 0;
-        }
-        ++load_.count;
-    }
-
     bool started_ = false;
-    /// Written by the leader's shard on every signal while the other
-    /// shards read the engine's fields, so it gets its own cache line.
-    struct alignas(64) LeaderLoad {
-        std::uint64_t signals = 0;
-        std::int64_t bucket = -1;  ///< current congestion window (time step)
-        std::uint64_t count = 0;   ///< signals in the current window
-        std::uint64_t peak = 0;    ///< max signals in one closed window
-    } load_;
+    sim::LeaderLoad load_;
 };
 
 }  // namespace papc::async

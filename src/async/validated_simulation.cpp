@@ -244,11 +244,12 @@ ValidatedResult run_validated_single_leader(std::size_t n, std::uint32_t k,
                                             const AsyncConfig& config,
                                             double message_rate,
                                             std::uint64_t seed) {
-    Rng workload_rng(derive_seed(seed, 0xA552));
+    Rng workload_rng(derive_seed(seed, ValidatedSingleLeaderSimulation::kWorkloadSalt));
     const Assignment assignment = make_biased_plurality(n, k, alpha, workload_rng);
     ValidatedSingleLeaderSimulation simulation(
         assignment, config, sim::make_exponential_latency(config.lambda),
-        sim::make_exponential_latency(message_rate), derive_seed(seed, 0x52));
+        sim::make_exponential_latency(message_rate),
+        derive_seed(seed, ValidatedSingleLeaderSimulation::kRunSalt));
     return simulation.run();
 }
 

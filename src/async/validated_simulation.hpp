@@ -57,6 +57,11 @@ struct ValidatedEvent;
 /// latencies T4, with leader-validated commits (§5).
 class ValidatedSingleLeaderSimulation final : public SingleLeaderCore {
 public:
+    /// Seed salts of run_validated_single_leader and api::run, as in
+    /// SingleLeaderSimulation.
+    static constexpr std::uint64_t kWorkloadSalt = 0xA552;
+    static constexpr std::uint64_t kRunSalt = 0x52;
+
     /// `channel` models T2 (establishment), `message` models T4 (one
     /// message over an established channel). Both are owned.
     ValidatedSingleLeaderSimulation(const Assignment& assignment,

@@ -52,9 +52,9 @@ ClusteringResult run_clustering(std::size_t n, const ClusterConfig& config,
     const double leader_prob = config.resolved_leader_probability(n);
     const double loglog = std::max(1.0, std::log2(std::log2(static_cast<double>(n))));
     const auto pause_count = static_cast<std::uint64_t>(
-        std::ceil(config.pause_factor * static_cast<double>(floor) * loglog));
+        std::ceil(kPauseFactor * static_cast<double>(floor) * loglog));
     const auto switch_count = static_cast<std::uint64_t>(
-        std::ceil(config.switch_factor * static_cast<double>(floor) * loglog));
+        std::ceil(kSwitchFactor * static_cast<double>(floor) * loglog));
 
     const sim::ExponentialLatency latency(config.lambda);
 

@@ -5,9 +5,10 @@
 /// constants are asymptotic (cluster floor log^(c-1) n, leader probability
 /// 1/log^c n, counting thresholds c2/c3·floor·loglog n); the defaults here
 /// are tuned so the protocol exhibits the analyzed behaviour at
-/// simulation-scale n (2^10 .. 2^20). All are configurable. The knobs
-/// shared with the single-leader engines (latency, budgets, sampling,
-/// faults, executor) live in sim::EventConfig.
+/// simulation-scale n (2^10 .. 2^20). The three constants below are fixed;
+/// the rest are configurable. The knobs shared with the single-leader
+/// engines (latency, budgets, sampling, faults, executor) live in
+/// sim::EventConfig.
 
 #include <cmath>
 #include <cstddef>
@@ -15,6 +16,19 @@
 #include "sim/event_engine.hpp"
 
 namespace papc::cluster {
+
+/// Pause window after a cluster reaches the floor, counted in 0-signals per
+/// cluster member of the first `floor` members (paper: c2·floor·loglog n).
+/// Expressed as a multiple of floor·loglog2(n).
+inline constexpr double kPauseFactor = 1.0;
+
+/// Additional 0-signals after the pause before the leader switches to
+/// consensus mode (paper: c3·floor·loglog n), same units.
+inline constexpr double kSwitchFactor = 2.0;
+
+/// Per-cluster generation-size gate as a fraction of the cluster
+/// cardinality (paper: 1/2 + 1/√log n).
+inline constexpr double kGenerationSizeFraction = 0.55;
 
 struct ClusterConfig : sim::EventConfig {
     // ----------------------------------------------------------- clustering
@@ -28,15 +42,6 @@ struct ClusterConfig : sim::EventConfig {
     /// size is ≈ 4·floor.
     double leader_probability = 0.0;
 
-    /// Pause window after reaching the floor, counted in 0-signals per
-    /// cluster member of the first `floor` members (paper:
-    /// c2·floor·loglog n). Expressed as a multiple of floor·loglog2(n).
-    double pause_factor = 1.0;
-
-    /// Additional 0-signals after the pause before the leader switches to
-    /// consensus mode (paper: c3·floor·loglog n), same units.
-    double switch_factor = 2.0;
-
     /// Hard cap on the clustering phase (time steps).
     double clustering_max_time = 400.0;
 
@@ -48,10 +53,6 @@ struct ClusterConfig : sim::EventConfig {
     /// plus slack; defaults chosen empirically).
     double sleep_units = 2.0;
     double prop_units = 3.0;
-
-    /// Per-cluster generation-size gate as a fraction of the cluster
-    /// cardinality (paper: 1/2 + 1/√log n).
-    double generation_size_fraction = 0.55;
 
     /// Adversarial failure injection (§4: resilience against limited
     /// attacks): at `leader_failure_time` a uniformly random

@@ -62,7 +62,7 @@ MultiLeaderSimulation::MultiLeaderSimulation(const Assignment& assignment,
 
     max_generation_ = analysis::total_generations(
         std::max(config_.alpha_hint, 1.0 + 1e-9), census_.num_opinions(), n,
-        config_.generation_slack);
+        sim::kGenerationSlack);
 
     leaders_.reserve(clustering_.clusters.size());
     for (const auto& cluster_members : clustering_.clusters) {
@@ -74,15 +74,14 @@ MultiLeaderSimulation::MultiLeaderSimulation(const Assignment& assignment,
         lc.prop_threshold = static_cast<std::uint64_t>(
             std::ceil(config_.prop_units * steps_per_unit * card));
         lc.generation_size_threshold = static_cast<std::uint64_t>(
-            std::ceil(config_.generation_size_fraction * card));
+            std::ceil(kGenerationSizeFraction * card));
         lc.max_generation = max_generation_;
         leaders_.push_back(std::make_unique<ClusterLeader>(lc));
     }
 
     alive_.assign(leaders_.size(), true);
     failure_injected_ = config_.leader_failure_time < 0.0;
-    load_bucket_.assign(leaders_.size(), -1);
-    load_count_.assign(leaders_.size(), 0);
+    loads_.resize(leaders_.size());
 }
 
 MultiLeaderSimulation::~MultiLeaderSimulation() = default;
@@ -122,20 +121,6 @@ void MultiLeaderSimulation::maybe_inject_failure() {
     for (std::size_t i = 0; i < to_kill && i < order.size(); ++i) {
         alive_[order[i]] = false;
     }
-}
-
-void MultiLeaderSimulation::record_leader_signal(ShardScratch& scratch,
-                                                 std::size_t cluster,
-                                                 double time) {
-    ++scratch.signals;
-    const auto bucket = static_cast<std::int64_t>(time);
-    if (bucket != load_bucket_[cluster]) {
-        scratch.peak_load = std::max(
-            scratch.peak_load, static_cast<double>(load_count_[cluster]));
-        load_bucket_[cluster] = bucket;
-        load_count_[cluster] = 0;
-    }
-    ++load_count_[cluster];
 }
 
 void MultiLeaderSimulation::begin_window() {
@@ -339,7 +324,7 @@ bool MultiLeaderSimulation::advance() {
                     PAPC_CHECK(ev.cluster != kNoCluster);
                     const auto idx = static_cast<std::size_t>(ev.cluster);
                     if (!alive_[idx]) break;  // crashed leaders drop signals
-                    record_leader_signal(scratch, idx, t);
+                    loads_[idx].record(t);
                     leaders_[idx]->on_signal(t, ev.sig_i, ev.sig_s,
                                              ev.sig_changed);
                     break;
@@ -389,21 +374,11 @@ MultiLeaderResult MultiLeaderSimulation::run() {
 
     std::uint64_t finished_count = 0;
     for (const ShardScratch& scratch : scratch_) {
-        result_.ticks += scratch.ticks;
-        result_.exchanges += scratch.exchanges;
-        result_.two_choices_count += scratch.two_choices;
-        result_.propagation_count += scratch.propagation;
+        fold_shard(scratch, result_);
         result_.finished_adoptions += scratch.adoptions;
-        result_.signals_delivered += scratch.signals;
-        result_.leader_peak_load =
-            std::max(result_.leader_peak_load, scratch.peak_load);
         finished_count += scratch.finished;
-        result_.faults.crash_skips += scratch.crash_skips;
     }
-    for (const std::uint64_t pending : load_count_) {
-        result_.leader_peak_load =
-            std::max(result_.leader_peak_load, static_cast<double>(pending));
-    }
+    for (const sim::LeaderLoad& load : loads_) fold_leader(load, result_);
     result_.finished_fraction =
         static_cast<double>(finished_count) / static_cast<double>(n);
     result_.leader_traces.reserve(leaders_.size());
@@ -416,12 +391,13 @@ MultiLeaderResult MultiLeaderSimulation::run() {
 MultiLeaderResult run_multi_leader(std::size_t n, std::uint32_t k, double alpha,
                                    const ClusterConfig& config,
                                    std::uint64_t seed) {
-    Rng workload_rng(derive_seed(seed, 0xC1A0));
+    Rng workload_rng(derive_seed(seed, MultiLeaderSimulation::kWorkloadSalt));
     const Assignment assignment = make_biased_plurality(n, k, alpha, workload_rng);
-    Rng clustering_rng(derive_seed(seed, 0xC1A1));
+    Rng clustering_rng(derive_seed(seed, MultiLeaderSimulation::kClusteringSalt));
     ClusteringResult clustering = run_clustering(n, config, clustering_rng);
-    MultiLeaderSimulation simulation(assignment, std::move(clustering), config,
-                                     derive_seed(seed, 0xC1A2));
+    MultiLeaderSimulation simulation(
+        assignment, std::move(clustering), config,
+        derive_seed(seed, MultiLeaderSimulation::kRunSalt));
     return simulation.run();
 }
 

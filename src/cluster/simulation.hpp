@@ -67,6 +67,13 @@ struct ClusterEvent;
 /// Runs the consensus phase over an existing clustering.
 class MultiLeaderSimulation final : public sim::EventEngine {
 public:
+    /// Seed salts of run_multi_leader and api::run, so both build the same
+    /// run from one seed: derive_seed(seed, salt) seeds the workload, the
+    /// clustering phase and the consensus engine.
+    static constexpr std::uint64_t kWorkloadSalt = 0xC1A0;
+    static constexpr std::uint64_t kClusteringSalt = 0xC1A1;
+    static constexpr std::uint64_t kRunSalt = 0xC1A2;
+
     MultiLeaderSimulation(const Assignment& assignment,
                           ClusteringResult clustering,
                           const ClusterConfig& config, std::uint64_t seed);
@@ -87,17 +94,11 @@ public:
     [[nodiscard]] std::size_t num_clusters() const { return leaders_.size(); }
 
 private:
-    /// Shard-owned event counters for the whole run, cache-line aligned.
-    struct alignas(64) ShardScratch {
-        std::uint64_t ticks = 0;
-        std::uint64_t exchanges = 0;
-        std::uint64_t two_choices = 0;
-        std::uint64_t propagation = 0;
+    /// Shard-owned event counters for the whole run: the shared block plus
+    /// the finished-flag ones.
+    struct ShardScratch : sim::ShardCounters {
         std::uint64_t adoptions = 0;
         std::uint64_t finished = 0;
-        std::uint64_t signals = 0;
-        std::uint64_t crash_skips = 0;
-        double peak_load = 0.0;
     };
 
     /// Window-start snapshot of one cluster leader's public state.
@@ -113,8 +114,6 @@ private:
     void mark_finished(ShardScratch& scratch, NodeId v);
     void adopt_finished(std::size_t shard, NodeId v, Opinion col);
     void maybe_inject_failure();
-    void record_leader_signal(ShardScratch& scratch, std::size_t cluster,
-                              double time);
 
     ClusterConfig config_;
     ClusteringResult clustering_;
@@ -131,12 +130,12 @@ private:
     MultiLeaderResult result_;
     Generation max_generation_ = 0;
 
-    // Failure injection (§4 resilience) + per-leader congestion windows
-    // (each entry only ever touched from leader_shard(cluster)).
+    // Failure injection (§4 resilience).
     std::vector<bool> alive_;
     bool failure_injected_ = false;
-    std::vector<std::int64_t> load_bucket_;
-    std::vector<std::uint64_t> load_count_;
+    /// One load meter per cluster leader, only ever touched from
+    /// leader_shard(cluster); crashed leaders record nothing.
+    std::vector<sim::LeaderLoad> loads_;
 };
 
 /// Convenience: clustering + consensus in one call on a biased-plurality

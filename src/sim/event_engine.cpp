@@ -1,5 +1,7 @@
 #include "sim/event_engine.hpp"
 
+#include <algorithm>
+
 #include "support/check.hpp"
 
 namespace papc::sim {
@@ -54,6 +56,20 @@ void EventEngine::fold(std::uint64_t events, std::uint64_t windows,
     result.windows = windows;
     result.window_stragglers = stragglers;
     result.final_top_generation = census_.highest_populated();
+}
+
+void EventEngine::fold_shard(const ShardCounters& shard, EventRunResult& result) {
+    result.ticks += shard.ticks;
+    result.exchanges += shard.exchanges;
+    result.two_choices_count += shard.two_choices;
+    result.propagation_count += shard.propagation;
+    result.faults.crash_skips += shard.crash_skips;
+}
+
+void EventEngine::fold_leader(const LeaderLoad& load, EventRunResult& result) {
+    result.signals_delivered += load.signals;
+    result.leader_peak_load =
+        std::max(result.leader_peak_load, static_cast<double>(load.peak_load()));
 }
 
 }  // namespace papc::sim

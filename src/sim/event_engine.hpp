@@ -8,9 +8,12 @@
 /// signals — on the sharded windowed executor (windowed_executor.hpp):
 ///   - EventConfig holds the knobs both families read;
 ///   - EventRunResult holds the counters both families report;
+///   - LeaderLoad is the §4.5 leader-load meter and ShardCounters the
+///     per-shard block of the counters both families keep;
 ///   - EventEngine owns the census, the clock and the fault injector,
 ///     builds the executor and the core::run options from the config,
-///     merges each window's census moves and folds the executor's counters.
+///     merges each window's census moves and folds the executor's, the
+///     shards' and the leader meters' counters.
 /// A family adds its protocol state, its event type and its handler, a
 /// template lambda passed to run_window(): no virtual call per event.
 ///
@@ -24,9 +27,10 @@
 ///   - census moves merge in shard order at the barrier;
 ///   - the injector derives from the run generator through the pure
 ///     substream, so an inactive plan leaves the tape byte-identical.
-/// A fixed-seed run is then a pure function of (seed, event_shards,
-/// window), the same at every thread count and queue kind.
+/// A fixed-seed run is then a pure function of (seed, window), the same at
+/// every thread count and queue kind.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -44,8 +48,11 @@
 
 namespace papc::sim {
 
-/// Knobs shared by the event-driven engines. async::AsyncConfig and
-/// cluster::ClusterConfig add their family's protocol constants.
+/// Extra generations on top of the closed-form G* (safety slack).
+inline constexpr unsigned kGenerationSlack = 2;
+
+/// Knobs shared by the event-driven engines. async::AsyncConfig is this
+/// struct; cluster::ClusterConfig adds the clustering and §4 leader knobs.
 struct EventConfig {
     /// Latency rate λ of the default Exponential(λ) channel-establishment
     /// model; also sets the auto window width. (The single-leader engines
@@ -55,9 +62,6 @@ struct EventConfig {
     /// Assumed initial bias α0 — the nodes and leaders know α0 and k
     /// (§3.2); only a lower bound is required.
     double alpha_hint = 1.5;
-
-    /// Extra generations on top of the closed-form G* (safety slack).
-    unsigned generation_slack = 2;
 
     /// Hard cap on simulated time (time steps); safety net only.
     double max_time = 5000.0;
@@ -78,16 +82,16 @@ struct EventConfig {
     fault::FaultPlan fault;
 
     // Executor knobs. async, validated and multi's consensus phase read
-    // all four. sequential is a plain tick loop and reads only `window`
-    // (and `lambda` for its auto width).
+    // all three. sequential is a plain tick loop and reads only `window`
+    // (and `lambda` for its auto width). Every windowed engine runs on
+    // kDefaultWindowShards shards.
 
     /// Scheduler-queue implementation behind each shard of the windowed
-    /// executor; multi also reads it for its clustering and broadcast
-    /// phases. All kinds pop in identical (time, seq) order (pinned by the
-    /// equivalence tests), so for a fixed seed this knob changes throughput
-    /// only, never results. kLadder is the fastest at every measured size
-    /// (ladder <= calendar <= heap from 2^10 to 2^22 pending events); the
-    /// heap stays the default reference.
+    /// executor; multi also reads it for its clustering phase. All kinds
+    /// pop in identical (time, seq) order (pinned by the equivalence
+    /// tests), so for a fixed seed this knob changes throughput only, never
+    /// results. End to end, ladder is the fastest and calendar the slowest
+    /// kind measured (ROADMAP.md); the heap stays the default reference.
     QueueKind queue_kind = QueueKind::kBinaryHeap;
 
     /// Worker threads of the windowed executor (multi's clustering phase
@@ -99,10 +103,6 @@ struct EventConfig {
     /// default_window(lambda). Part of the trajectory: two runs only
     /// reproduce each other with equal windows.
     double window = 0.0;
-
-    /// Shard count of the windowed executor (0 = default). Like `window`,
-    /// part of the trajectory; unlike `threads`, never auto-scaled.
-    std::size_t event_shards = 0;
 };
 
 /// Counters both event families report on top of the unified convergence
@@ -128,6 +128,43 @@ struct EventRunResult : core::RunResult {
     // Fault-injection accounting (all zero without an active plan).
     fault::FaultCounters faults;
     std::uint64_t nodes_crashed = 0;  ///< nodes with a crash in the horizon
+};
+
+/// §4.5 leader-load meter of one leader: the signals it received and the
+/// most it received in one unit-time bucket [b, b + 1). Each family decides
+/// which signals it records. Only the leader's shard writes it, so it sits
+/// on its own cache line.
+struct alignas(64) LeaderLoad {
+    std::uint64_t signals = 0;
+    std::int64_t bucket = -1;  ///< bucket of the latest signal
+    std::uint64_t count = 0;   ///< signals in that bucket
+    std::uint64_t peak = 0;    ///< max signals in one closed bucket
+
+    /// One signal arriving at `time`.
+    void record(double time) {
+        ++signals;
+        const auto b = static_cast<std::int64_t>(time);
+        if (b != bucket) {
+            peak = std::max(peak, count);
+            bucket = b;
+            count = 0;
+        }
+        ++count;
+    }
+
+    /// Max signals in one bucket, the still-open one included.
+    [[nodiscard]] std::uint64_t peak_load() const { return std::max(peak, count); }
+};
+
+/// One shard's share of the counters both families keep, on its own cache
+/// line so neighbouring shards never contend. A family's shard scratch
+/// derives from it and adds its own counters.
+struct alignas(64) ShardCounters {
+    std::uint64_t ticks = 0;
+    std::uint64_t exchanges = 0;
+    std::uint64_t two_choices = 0;
+    std::uint64_t propagation = 0;
+    std::uint64_t crash_skips = 0;  ///< ticks/exchanges/pushes of down nodes
 };
 
 /// Base of the event-driven engines: census, clock, injector, census-move
@@ -167,8 +204,9 @@ protected:
     void attach_faults(const fault::FaultPlan& plan, std::size_t n,
                        double horizon, const Rng& rng);
 
-    /// The windowed executor for `Event` over `n` nodes from the config's
-    /// shard, thread, window and queue knobs, with the injector attached,
+    /// The windowed executor for `Event` over `n` nodes on
+    /// kDefaultWindowShards shards from the config's thread, window and
+    /// queue knobs, with the injector attached,
     /// on `rng`; sizes the census-move buffers to its shards. Queued
     /// events stay near 2 per node (next tick + one in-flight exchange;
     /// signals wait outside the queues).
@@ -176,7 +214,7 @@ protected:
     [[nodiscard]] std::unique_ptr<WindowedExecutor<Event>> make_executor(
         const EventConfig& config, std::size_t n, const Rng& rng) {
         WindowedOptions options;
-        options.shards = config.event_shards;
+        options.shards = kDefaultWindowShards;
         options.threads = config.threads;
         options.window = config.window;
         options.lambda = config.lambda;
@@ -224,6 +262,13 @@ protected:
         fold(executor.events_processed(), executor.windows_run(),
              executor.stragglers(), executor.fault_counters(), result);
     }
+
+    /// Adds one shard's shared counters into `result`.
+    static void fold_shard(const ShardCounters& shard, EventRunResult& result);
+
+    /// Adds one leader's signals into `result` and raises its peak load to
+    /// the leader's.
+    static void fold_leader(const LeaderLoad& load, EventRunResult& result);
 
     GenerationCensus census_;
     double now_ = 0.0;

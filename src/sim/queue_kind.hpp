@@ -18,7 +18,8 @@ enum class QueueKind {
     kBinaryHeap,  ///< the default: an implicit 4-ary min-heap (the name
                   ///< is historical); O(log n) push/pop, and per-hold cost
                   ///< still above ladder's at 2^16 pending events
-    kCalendar,    ///< O(1) amortized bucketed wheel; flat scaling to n >> 2^20
+    kCalendar,    ///< O(1) amortized bucketed wheel; the slowest kind in
+                  ///< every measured end-to-end run
     kLadder,      ///< lazy multi-tier bucket ladder; O(1) amortized, sorts
                   ///< only the imminent events (skewed/far-future schedules)
 };

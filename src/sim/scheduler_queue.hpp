@@ -4,7 +4,7 @@
 /// Pluggable scheduler-queue subsystem for the discrete-event engines.
 ///
 /// Every asynchronous engine (async single-leader, §5 validated, cluster
-/// multi-leader, and the clustering/broadcast helpers) drives its loop by
+/// multi-leader, and the clustering phase) drives its loop by
 /// popping the earliest pending event. The ordering contract is shared:
 /// events are ordered by (time, sequence number) — ties in time are broken
 /// by insertion order — which keeps runs deterministic for a fixed seed
@@ -18,7 +18,8 @@
 ///     ~166 ns, against ~70 ns for the ladder, on a 4-vCPU host).
 ///   - CalendarQueue: a bucketed wheel with dynamic resize and bucket-width
 ///     estimation (Brown '88; the ns-3 CalendarScheduler family). O(1)
-///     amortized push/pop, flat scaling into the n >> 2^20 regime.
+///     amortized push/pop; the slowest of the three in every measured
+///     end-to-end run (ROADMAP.md).
 ///   - LadderQueue: a lazy multi-tier bucket ladder (Tang/Goh/Thng '05
 ///     family). O(1) amortized with sorting deferred to the imminent
 ///     events; shines on skewed schedules with a large far-future tail.

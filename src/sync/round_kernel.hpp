@@ -383,24 +383,18 @@ private:
 };
 
 /// Fused-census accumulator for the flat (opinion-only) baselines: the
-/// write loop notes each changed node and commit() applies the summed
-/// per-opinion deltas in one pass — replacing the per-round
-/// OpinionCensus::reset rescan of the whole color vector. The sharded
-/// dynamics accumulate straight into their worker Arena through a View
-/// over the arena's storage; the owning class remains for single-buffer
-/// uses and the kernel unit tests.
-class OpinionDeltaAccumulator {
-public:
-    explicit OpinionDeltaAccumulator(std::uint32_t num_opinions)
-        : deltas_(num_opinions, 0) {}
-
+/// write loop notes each changed node and OpinionCensus::apply_deltas
+/// applies the summed per-opinion deltas in one pass — replacing the
+/// per-round OpinionCensus::reset rescan of the whole color vector. The
+/// sharded dynamics accumulate straight into their worker Arena through a
+/// View over the arena's storage.
+struct OpinionDeltaAccumulator {
     /// Raw-pointer view for the decide loops: note() through a View kept
-    /// in locals costs no per-note reload of the accumulator's data
-    /// pointer (reached through a reference, the optimizer must re-load
-    /// it every bump — measurably slower on the cheapest kernels).
-    /// Constructible over any external (deltas[k], undecided) pair — the
-    /// worker arenas. Invalidated by commit() and by destroying or
-    /// reallocating the underlying storage.
+    /// in locals costs no per-note reload of the storage's data pointer
+    /// (reached through a reference, the optimizer must re-load it every
+    /// bump — measurably slower on the cheapest kernels). Constructible
+    /// over any external (deltas[k], undecided) pair — the worker arenas.
+    /// Invalidated by destroying or reallocating the underlying storage.
     class View {
     public:
         View(std::int64_t* deltas, std::int64_t* undecided)
@@ -424,21 +418,6 @@ public:
         std::int64_t* deltas_;
         std::int64_t* undecided_;
     };
-
-    [[nodiscard]] View view() { return View(deltas_.data(), &undecided_); }
-
-    void note(Opinion from, Opinion to) { view().note(from, to); }
-
-    /// Applies and clears the accumulated deltas.
-    void commit(OpinionCensus& census) {
-        census.apply_deltas(deltas_, undecided_);
-        std::fill(deltas_.begin(), deltas_.end(), 0);
-        undecided_ = 0;
-    }
-
-private:
-    std::vector<std::int64_t> deltas_;
-    std::int64_t undecided_ = 0;
 };
 
 /// Packed per-node Algorithm 1 state: generation in the high 32 bits,

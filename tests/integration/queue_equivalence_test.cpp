@@ -2,7 +2,6 @@
 
 #include "async/simulation.hpp"
 #include "async/validated_simulation.hpp"
-#include "cluster/broadcast.hpp"
 #include "cluster/simulation.hpp"
 
 namespace papc {
@@ -107,28 +106,6 @@ TEST(QueueEquivalence, MultiLeaderIdenticalRuns) {
         EXPECT_DOUBLE_EQ(heap.end_time, other.end_time);
         EXPECT_DOUBLE_EQ(heap.finished_fraction, other.finished_fraction);
     }
-}
-
-TEST(QueueEquivalence, BroadcastIdenticalRuns) {
-    cluster::ClusterConfig config = cluster_config(sim::QueueKind::kBinaryHeap);
-    Rng clustering_rng(9);
-    const cluster::ClusteringResult clustering =
-        cluster::run_clustering(1024, config, clustering_rng);
-    ASSERT_GT(clustering.clusters.size(), 0U);
-
-    Rng heap_rng(21);
-    Rng calendar_rng(21);
-    const cluster::BroadcastResult heap =
-        cluster::run_broadcast(clustering, 0, 1.0, 200.0, heap_rng,
-                               sim::QueueKind::kBinaryHeap);
-    const cluster::BroadcastResult calendar =
-        cluster::run_broadcast(clustering, 0, 1.0, 200.0, calendar_rng,
-                               sim::QueueKind::kCalendar);
-
-    EXPECT_EQ(heap.completed, calendar.completed);
-    EXPECT_EQ(heap.informed, calendar.informed);
-    EXPECT_DOUBLE_EQ(heap.time_to_all, calendar.time_to_all);
-    EXPECT_DOUBLE_EQ(heap.mean_inform_time, calendar.mean_inform_time);
 }
 
 }  // namespace

@@ -135,8 +135,8 @@ TEST(WindowedDeterminism, MultiLeaderThreadSweep) {
 }
 
 /// Runs `base` and knob variants of it through `run` and pins how the
-/// shared sim::EventEngine maps the executor knobs: shards and window are
-/// part of the trajectory, threads and the queue kind are not.
+/// shared sim::EventEngine maps the executor knobs: the window is part of
+/// the trajectory, threads and the queue kind are not.
 template <typename Config, typename Run>
 void expect_executor_knobs_reach(const Config& base, const Run& run) {
     const auto variant = [&](auto set) {
@@ -145,8 +145,6 @@ void expect_executor_knobs_reach(const Config& base, const Run& run) {
         return run(config);
     };
     const std::string reference = fingerprint(run(base));
-    EXPECT_NE(reference,
-              fingerprint(variant([](sim::EventConfig& c) { c.event_shards = 3; })));
     const auto wide = variant([](sim::EventConfig& c) { c.window = 0.5; });
     const auto narrow = variant([](sim::EventConfig& c) { c.window = 0.125; });
     EXPECT_NE(reference, fingerprint(wide));

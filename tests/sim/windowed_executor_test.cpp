@@ -8,6 +8,7 @@
 
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
+#include "sim/event_engine.hpp"
 
 namespace papc::sim {
 namespace {
@@ -491,6 +492,36 @@ TEST(WindowedExecutorDeathTest, EmittingWhileRunningSignalsAborts) {
     EXPECT_DEATH(
         run([](auto& ctx, Time t) { ctx.signal_message(0, t, t, -2); }),
         "PAPC_CHECK failed");
+}
+
+// The §4.5 leader-load meter both event families feed from their signal
+// lanes (sim/event_engine.hpp): buckets are the unit intervals [b, b + 1).
+TEST(LeaderLoad, CountsSignalsAndPeaksPerUnitTimeBucket) {
+    static_assert(alignof(LeaderLoad) == 64, "one cache line per leader");
+    LeaderLoad load;
+    EXPECT_EQ(load.signals, 0U);
+    EXPECT_EQ(load.peak_load(), 0U);
+
+    // Three signals in [0, 1); the one at t = 1 opens the next bucket.
+    for (const double t : {0.0, 0.5, 0.999}) load.record(t);
+    EXPECT_EQ(load.peak, 0U);  // no bucket closed yet
+    EXPECT_EQ(load.peak_load(), 3U);
+    load.record(1.0);
+    EXPECT_EQ(load.signals, 4U);
+    EXPECT_EQ(load.peak, 3U);
+    EXPECT_EQ(load.count, 1U);
+    EXPECT_EQ(load.peak_load(), 3U);
+
+    // Five signals in [5, 6) after a gap: the still-open bucket carries the
+    // peak until a later signal closes it.
+    for (const double t : {5.0, 5.25, 5.5, 5.75, 5.999}) load.record(t);
+    EXPECT_EQ(load.signals, 9U);
+    EXPECT_EQ(load.peak, 3U);
+    EXPECT_EQ(load.peak_load(), 5U);
+    load.record(6.0);
+    EXPECT_EQ(load.signals, 10U);
+    EXPECT_EQ(load.peak, 5U);
+    EXPECT_EQ(load.peak_load(), 5U);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <vector>
 
@@ -117,16 +118,18 @@ TEST(OpinionDeltaAccumulator, MatchesFullReset) {
     }
     OpinionCensus fused(colors.size(), k);
     fused.reset(colors);
-    OpinionDeltaAccumulator deltas(k);
+    std::vector<std::int64_t> deltas(k, 0);
+    std::int64_t undecided = 0;
+    const OpinionDeltaAccumulator::View note(deltas.data(), &undecided);
 
     std::vector<Opinion> next = colors;
     for (std::size_t v = 0; v < next.size(); ++v) {
         const auto draw = rng.uniform_index(k + 1);
         const Opinion to = draw == k ? kUndecided : static_cast<Opinion>(draw);
-        deltas.note(next[v], to);
+        note.note(next[v], to);
         next[v] = to;
     }
-    deltas.commit(fused);
+    fused.apply_deltas(deltas, undecided);
 
     OpinionCensus reference(next.size(), k);
     reference.reset(next);
@@ -135,8 +138,9 @@ TEST(OpinionDeltaAccumulator, MatchesFullReset) {
     }
     EXPECT_EQ(fused.undecided_count(), reference.undecided_count());
 
-    // commit() clears the accumulator: an empty commit is a no-op.
-    deltas.commit(fused);
+    // Applying cleared deltas is a no-op.
+    std::fill(deltas.begin(), deltas.end(), 0);
+    fused.apply_deltas(deltas, 0);
     for (Opinion j = 0; j < k; ++j) {
         EXPECT_EQ(fused.count(j), reference.count(j));
     }
