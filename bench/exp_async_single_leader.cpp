@@ -1,40 +1,39 @@
 /// \file exp_async_single_leader.cpp
 /// Experiment E4 — Theorem 13: the asynchronous single-leader protocol
 /// ε-converges in O(log log_α k · log k + log log n) time and fully
-/// converges after O(log n) more. Sweeps:
+/// converges after O(log n) more. Sweeps of the registry's `async`
+/// protocol:
 ///   (a) time vs n at fixed k, α, λ — ε-time nearly flat, full-consensus
 ///       tail growing slowly (log n term);
 ///   (b) time vs 1/λ at fixed n — both times scale linearly with the mean
 ///       channel latency (time is measured in time *steps*; one time unit
 ///       is C1 = F^{-1}(0.9) steps).
+/// Each table is one api::Sweep, so every cell is exactly what api::run
+/// runs and replays with `papc_cli --sweep`.
 
 #include <iostream>
 
-#include "async/simulation.hpp"
-#include "runner/experiment.hpp"
+#include "api/sweep.hpp"
 #include "runner/report.hpp"
+#include "support/json_writer.hpp"
 #include "support/table.hpp"
 
 namespace {
 
 using namespace papc;
 
-runner::TrialMetrics one_trial(std::size_t n, std::uint32_t k, double alpha,
-                               double lambda, std::uint64_t seed) {
-    async::AsyncConfig c;
-    c.lambda = lambda;
-    c.alpha_hint = alpha;
-    c.max_time = 3000.0;
-    c.record_series = false;
-    const async::AsyncResult r = async::run_single_leader(n, k, alpha, c, seed);
-    // Unified metrics from the shared RunResult base, plus family extras.
-    runner::TrialMetrics m = runner::metrics_from(r);
-    m["success"] = r.plurality_won ? 1.0 : 0.0;
-    if (r.consensus_time >= 0.0) {
-        m["tail"] = r.consensus_time - std::max(0.0, r.epsilon_time);
-    }
-    m["steps_per_unit"] = r.steps_per_unit;
-    return m;
+/// k = 4, α = 1.8, 5 reps on 4 trial threads; the caller adds the axis.
+api::Sweep async_sweep(std::uint64_t seed) {
+    api::Sweep sweep;
+    sweep.base.protocol = "async";
+    sweep.base.k = 4;
+    sweep.base.alpha = 1.8;
+    sweep.base.max_time = 3000.0;
+    sweep.base.record_series = false;
+    sweep.reps = 5;
+    sweep.base_seed = seed;
+    sweep.threads = 4;
+    return sweep;
 }
 
 }  // namespace
@@ -47,21 +46,18 @@ int main() {
     {
         runner::print_heading(std::cout,
                               "(a) time vs n  [k = 4, alpha = 1.8, lambda = 1]");
+        api::Sweep sweep = async_sweep(0xE401);
+        sweep.axes = api::parse_sweep_spec("n=1024,4096,16384,65536,131072").axes;
         Table table({"n", "eps-time (mean)", "consensus (mean)",
                      "tail (consensus - eps)", "success"});
-        std::uint64_t row = 0;
-        for (const std::size_t n :
-             {std::size_t{1} << 10, std::size_t{1} << 12, std::size_t{1} << 14,
-              std::size_t{1} << 16, std::size_t{1} << 17}) {
-            const auto o = runner::run_experiment(
-                [&](std::uint64_t s) { return one_trial(n, 4, 1.8, 1.0, s); }, 5,
-                derive_seed(0xE401, row++), /*threads=*/4);
+        for (const api::SweepCell& cell : api::run_sweep(sweep).cells) {
+            const runner::ExperimentOutcome& o = cell.outcome;
             table.row()
-                .add(n)
+                .add(cell.scenario.n)
                 .add(o.mean("epsilon_time"), 1)
                 .add(o.mean("consensus_time"), 1)
-                .add(o.mean("tail"), 1)
-                .add(o.mean("success"), 2);
+                .add(o.mean("consensus_time") - o.mean("epsilon_time"), 1)
+                .add(o.mean("plurality_won"), 2);
         }
         table.print(std::cout);
         std::cout << "Expected: eps-time nearly flat in n; the tail grows"
@@ -72,24 +68,28 @@ int main() {
         runner::print_heading(std::cout,
                               "(b) time vs 1/lambda  [n = 2^14, k = 4, "
                               "alpha = 1.8]");
+        api::Sweep sweep = async_sweep(0xE402);
+        sweep.base.n = 1 << 14;
+        const double inv_lambdas[] = {0.1, 1.0, 2.0, 5.0, 10.0};
+        api::SweepAxis lambda{"lambda", {}};
+        for (const double inv_lambda : inv_lambdas) {
+            lambda.values.push_back(JsonWriter::format_double(1.0 / inv_lambda));
+        }
+        sweep.axes = {lambda};
         Table table({"1/lambda", "steps/unit C1", "eps-time (mean)",
                      "consensus (mean)", "eps-time / C1  (time units)",
                      "success"});
-        std::uint64_t row = 0;
-        for (const double inv_lambda : {0.1, 1.0, 2.0, 5.0, 10.0}) {
-            const auto o = runner::run_experiment(
-                [&](std::uint64_t s) {
-                    return one_trial(1 << 14, 4, 1.8, 1.0 / inv_lambda, s);
-                },
-                5, derive_seed(0xE402, row++), /*threads=*/4);
+        const api::SweepResult result = api::run_sweep(sweep);
+        for (std::size_t row = 0; row < result.cells.size(); ++row) {
+            const runner::ExperimentOutcome& o = result.cells[row].outcome;
             const double c1 = o.mean("steps_per_unit");
             table.row()
-                .add(inv_lambda, 1)
+                .add(inv_lambdas[row], 1)
                 .add(c1, 2)
                 .add(o.mean("epsilon_time"), 1)
                 .add(o.mean("consensus_time"), 1)
                 .add(o.mean("epsilon_time") / c1, 2)
-                .add(o.mean("success"), 2);
+                .add(o.mean("plurality_won"), 2);
         }
         table.print(std::cout);
         std::cout << "Expected: raw times scale with 1/lambda, but measured"

@@ -7,53 +7,19 @@
 ///   (b) Asynchronous: the single-leader protocol vs the 3-state [AAE08]
 ///       and 4-state [DV10/MNRS14] population protocols (k = 2, parallel
 ///       time vs additive gap).
+/// Table (a) is one api::Sweep over k × the registry's five sync
+/// protocols. In table (b) the single-leader's bias hint α = a/b follows
+/// the gap, so each row is one api::Sweep over the three protocols on the
+/// `gap` workload, with base seed derive_seed(0xE602, row). Every cell is
+/// exactly what api::run runs and replays with `papc_cli --sweep`.
 
 #include <iostream>
+#include <string>
 
-#include "async/simulation.hpp"
-#include "opinion/assignment.hpp"
-#include "population/four_state.hpp"
-#include "population/three_state.hpp"
-#include "runner/experiment.hpp"
+#include "api/sweep.hpp"
 #include "runner/report.hpp"
+#include "support/random.hpp"
 #include "support/table.hpp"
-#include "sync/algorithm1.hpp"
-#include "sync/baselines.hpp"
-#include "sync/engine.hpp"
-
-namespace {
-
-using namespace papc;
-
-runner::TrialMetrics sync_trial(int which, std::size_t n, std::uint32_t k,
-                                double alpha, std::uint64_t seed) {
-    Rng rng(seed);
-    const Assignment a = make_biased_plurality(n, k, alpha, rng);
-    std::unique_ptr<sync::SyncDynamics> dyn;
-    switch (which) {
-        case 0: {
-            sync::ScheduleParams sp;
-            sp.n = n;
-            sp.k = k;
-            sp.alpha = alpha;
-            dyn = std::make_unique<sync::Algorithm1>(a, sync::Schedule(sp));
-            break;
-        }
-        case 1: dyn = std::make_unique<sync::PullVoting>(a); break;
-        case 2: dyn = std::make_unique<sync::TwoChoices>(a); break;
-        case 3: dyn = std::make_unique<sync::ThreeMajority>(a); break;
-        default: dyn = std::make_unique<sync::UndecidedState>(a); break;
-    }
-    sync::RunOptions opts;
-    opts.max_rounds = 30000;
-    const sync::SyncResult r = run_to_consensus(*dyn, rng, opts);
-    runner::TrialMetrics m;
-    m["rounds"] = static_cast<double>(r.steps);
-    m["success"] = (r.converged && r.winner == 0) ? 1.0 : 0.0;
-    return m;
-}
-
-}  // namespace
 
 int main() {
     using namespace papc;
@@ -63,20 +29,26 @@ int main() {
         runner::print_heading(std::cout,
                               "(a) synchronous, rounds vs k [n = 2^16, "
                               "alpha = 2.0, 3 reps, mean rounds (success)]");
-        const char* names[] = {"algorithm1", "pull-voting", "two-choices",
-                               "3-majority", "undecided-state"};
-        Table table({"k", names[0], names[1], names[2], names[3], names[4]});
-        const std::size_t n = 1 << 16;
-        std::uint64_t cell = 0;
-        for (const std::uint32_t k : {2U, 4U, 8U, 16U, 32U, 64U}) {
-            auto& row = table.row().add(k);
-            for (int which = 0; which < 5; ++which) {
-                const auto o = runner::run_experiment(
-                    [&](std::uint64_t s) { return sync_trial(which, n, k, 2.0, s); },
-                    3, derive_seed(0xE601, cell++), /*threads=*/4);
-                row.add(format_double(o.mean("rounds"), 0) + " (" +
-                        format_double(o.mean("success"), 2) + ")");
-            }
+        api::Sweep sweep;
+        sweep.base.n = 1 << 16;
+        sweep.base.alpha = 2.0;
+        sweep.base.max_steps = 30000;
+        sweep.base.record_series = false;
+        const std::string axes =
+            "k=2,4,8,16,32,64;protocol=sync,pull,two-choices,3-majority,undecided";
+        sweep.axes = api::parse_sweep_spec(axes).axes;
+        sweep.reps = 3;
+        sweep.base_seed = 0xE601;
+        sweep.threads = 4;
+        Table table({"k", "algorithm1", "pull-voting", "two-choices",
+                     "3-majority", "undecided-state"});
+        const std::size_t protocols = sweep.axes[1].values.size();
+        const api::SweepResult result = api::run_sweep(sweep);
+        for (std::size_t i = 0; i < result.cells.size(); ++i) {
+            const api::SweepCell& cell = result.cells[i];
+            if (i % protocols == 0) table.row().add(cell.scenario.k);
+            table.add(format_double(cell.outcome.mean("steps"), 0) + " (" +
+                      format_double(cell.outcome.mean("plurality_won"), 2) + ")");
         }
         table.print(std::cout);
         std::cout << "Expected: pull voting needs Θ(n)-ish time (hits the"
@@ -94,54 +66,33 @@ int main() {
                      "3-state AM (par. time)", "4-state exact (par. time)",
                      "SL ok", "AM ok", "EX ok"});
         const std::size_t n = 4096;
-        std::uint64_t row_id = 0;
-        for (const std::size_t gap : {std::size_t{64}, std::size_t{256},
-                                      std::size_t{1024}}) {
-            const auto o = runner::run_experiment(
-                [&](std::uint64_t s) {
-                    runner::TrialMetrics m;
-                    const std::size_t a_count = (n + gap) / 2;
-                    const std::size_t b_count = n - a_count;
-                    // Single-leader async (multiplicative bias equivalent).
-                    async::AsyncConfig c;
-                    c.alpha_hint = static_cast<double>(a_count) / b_count;
-                    c.max_time = 2500.0;
-                    c.record_series = false;
-                    Rng wrng(derive_seed(s, 1));
-                    const Assignment assign = make_from_counts(
-                        {a_count, b_count}, wrng);
-                    async::SingleLeaderSimulation sim(assign, c, derive_seed(s, 2));
-                    const async::AsyncResult sl = sim.run();
-                    if (sl.converged) m["sl_time"] = sl.consensus_time;
-                    m["sl_ok"] = (sl.converged && sl.winner == 0) ? 1.0 : 0.0;
-                    // 3-state approximate majority.
-                    population::ThreeStateMajority am(a_count, b_count);
-                    Rng r1(derive_seed(s, 3));
-                    const population::PopulationResult ra =
-                        population::run_population(am, r1);
-                    if (ra.converged) m["am_time"] = ra.end_time;
-                    m["am_ok"] = (ra.converged && ra.winner == 0) ? 1.0 : 0.0;
-                    // 4-state exact majority.
-                    population::FourStateExactMajority ex(a_count, b_count);
-                    Rng r2(derive_seed(s, 4));
-                    population::PopulationRunOptions po;
-                    po.max_interactions =
-                        static_cast<std::uint64_t>(n) * n * 8ULL;
-                    const population::PopulationResult re =
-                        population::run_population(ex, r2, po);
-                    if (re.converged) m["ex_time"] = re.end_time;
-                    m["ex_ok"] = (re.converged && re.winner == 0) ? 1.0 : 0.0;
-                    return m;
-                },
-                3, derive_seed(0xE602, row_id++), /*threads=*/4);
-            table.row()
-                .add(gap)
-                .add(o.mean("sl_time"), 1)
-                .add(o.mean("am_time"), 1)
-                .add(o.mean("ex_time"), 1)
-                .add(o.mean("sl_ok"), 2)
-                .add(o.mean("am_ok"), 2)
-                .add(o.mean("ex_ok"), 2);
+        const std::size_t gaps[] = {64, 256, 1024};
+        for (std::uint64_t row = 0; row < 3; ++row) {
+            const std::size_t a_count = (n + gaps[row]) / 2;
+            api::Sweep sweep;
+            sweep.base.n = n;
+            sweep.base.k = 2;
+            sweep.base.workload = api::Workload::kAdditiveGap;
+            sweep.base.gap = gaps[row];
+            // Single-leader bias hint: the multiplicative bias a/b.
+            sweep.base.alpha = static_cast<double>(a_count) / (n - a_count);
+            sweep.base.max_time = 2500.0;
+            // The 4-state protocol's cap of 8n² interactions, shared by pp-3-state.
+            sweep.base.max_steps = static_cast<std::uint64_t>(n) * n * 8ULL;
+            sweep.base.record_series = false;
+            sweep.axes =
+                api::parse_sweep_spec("protocol=async,pp-3-state,pp-4-state").axes;
+            sweep.reps = 3;
+            sweep.base_seed = derive_seed(0xE602, row);
+            sweep.threads = 4;
+            const api::SweepResult result = api::run_sweep(sweep);
+            table.row().add(gaps[row]);
+            for (const api::SweepCell& cell : result.cells) {
+                table.add(cell.outcome.mean("consensus_time"), 1);
+            }
+            for (const api::SweepCell& cell : result.cells) {
+                table.add(cell.outcome.mean("plurality_won"), 2);
+            }
         }
         table.print(std::cout);
         std::cout << "Expected: the 4-state exact protocol is always correct"

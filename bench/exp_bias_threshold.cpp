@@ -3,16 +3,19 @@
 /// α > 1 + (k·log n/√n)·log k. We sweep the initial bias through the
 /// threshold and measure the plurality success probability; the paper
 /// predicts a transition from coin-flip-like behaviour (α near 1) to
-/// reliable plurality consensus (α above the threshold).
+/// reliable plurality consensus (α above the threshold). The table is one
+/// api::Sweep of the registry's `sync` protocol over `alpha`, so every
+/// cell is exactly what api::run runs and replays with `papc_cli --sweep`
+/// (the registry clamps the schedule's α hint at 1.01 for the unbiased
+/// row).
 
 #include <iostream>
 
+#include "api/sweep.hpp"
 #include "opinion/assignment.hpp"
-#include "runner/experiment.hpp"
 #include "runner/report.hpp"
+#include "support/json_writer.hpp"
 #include "support/table.hpp"
-#include "sync/algorithm1.hpp"
-#include "sync/engine.hpp"
 
 int main() {
     using namespace papc;
@@ -27,37 +30,32 @@ int main() {
               << format_double(threshold, 3) << ", " << reps
               << " repetitions per point\n\n";
 
+    api::Sweep sweep;
+    sweep.base.protocol = "sync";
+    sweep.base.n = n;
+    sweep.base.k = k;
+    sweep.base.max_steps = 3000;
+    sweep.base.record_series = false;
+    sweep.reps = reps;
+    sweep.base_seed = 0xE801;
+
+    // Interpolate between no bias (α = 1) and multiples of the excess.
+    const double factors[] = {0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0};
+    api::SweepAxis alpha{"alpha", {}};
+    for (const double factor : factors) {
+        alpha.values.push_back(
+            JsonWriter::format_double(1.0 + (threshold - 1.0) * factor));
+    }
+    sweep.axes = {alpha};
     Table table({"alpha", "alpha/alpha*", "success", "rounds (median)"});
-    std::uint64_t row = 0;
-    for (const double factor : {0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0}) {
-        // Interpolate between no bias (α = 1) and multiples of the excess.
-        const double alpha = 1.0 + (threshold - 1.0) * factor;
-        sync::ScheduleParams sp;
-        sp.n = n;
-        sp.k = k;
-        // The *schedule* must not assume more than the actual bias; clamp
-        // the hint slightly above 1 for the unbiased rows.
-        sp.alpha = std::max(alpha, 1.05);
-        const sync::Schedule schedule{sp};
-        const auto o = runner::run_experiment(
-            [&](std::uint64_t s) {
-                Rng rng(s);
-                const Assignment a = make_biased_plurality(n, k, alpha, rng);
-                sync::Algorithm1 alg(a, schedule);
-                sync::RunOptions opts;
-                opts.max_rounds = 3000;
-                const sync::SyncResult r = run_to_consensus(alg, rng, opts);
-                runner::TrialMetrics m;
-                m["success"] = (r.converged && r.winner == 0) ? 1.0 : 0.0;
-                m["rounds"] = static_cast<double>(r.steps);
-                return m;
-            },
-            reps, derive_seed(0xE801, row++));
+    const api::SweepResult result = api::run_sweep(sweep);
+    for (std::size_t row = 0; row < result.cells.size(); ++row) {
+        const api::SweepCell& cell = result.cells[row];
         table.row()
-            .add(alpha, 4)
-            .add(factor, 2)
-            .add(o.mean("success"), 2)
-            .add(o.median("rounds"), 0);
+            .add(cell.scenario.alpha, 4)
+            .add(factors[row], 2)
+            .add(cell.outcome.mean("plurality_won"), 2)
+            .add(cell.outcome.median("steps"), 0);
     }
     table.print(std::cout);
 

@@ -9,15 +9,16 @@
 ///     state changes only O(G*) times per run),
 ///   - correctness (plurality still wins).
 /// The zero-message-latency row is cross-checked against the plain
-/// Algorithm 2+3 engine.
+/// Algorithm 2+3 engine. The references and the table are api::Sweeps of
+/// the registry's `sequential`, `async` and `validated` protocols (the
+/// table over `msg-rate` = 1/m), so every cell is exactly what api::run
+/// runs and replays with `papc_cli --sweep`.
 
 #include <iostream>
 
-#include "async/sequential_simulation.hpp"
-#include "async/simulation.hpp"
-#include "async/validated_simulation.hpp"
-#include "runner/experiment.hpp"
+#include "api/sweep.hpp"
 #include "runner/report.hpp"
+#include "support/json_writer.hpp"
 #include "support/table.hpp"
 
 int main() {
@@ -34,74 +35,58 @@ int main() {
     std::cout << "n = 2^13, k = " << k << ", alpha = " << alpha
               << ", channel latency Exp(1); message latency Exp(1/m)\n\n";
 
+    const auto sweep_of = [&](const char* protocol, double max_time,
+                              std::uint64_t seed) {
+        api::Sweep sweep;
+        sweep.base.protocol = protocol;
+        sweep.base.n = n;
+        sweep.base.k = k;
+        sweep.base.alpha = alpha;
+        sweep.base.max_time = max_time;
+        sweep.base.record_series = false;
+        sweep.reps = reps;
+        sweep.base_seed = seed;
+        sweep.threads = 4;
+        return sweep;
+    };
+
     {
-        async::AsyncConfig c;
-        c.alpha_hint = alpha;
-        c.max_time = 3000.0;
-        c.record_series = false;
-        const auto o = runner::run_experiment(
-            [&](std::uint64_t s) {
-                const async::AsyncResult r =
-                    async::run_single_leader(n, k, alpha, c, s);
-                runner::TrialMetrics m;
-                m["cons"] = r.consensus_time;
-                m["ok"] = (r.converged && r.plurality_won) ? 1.0 : 0.0;
-                return m;
-            },
-            reps, 0xEA00, /*threads=*/4);
-        const auto seq = runner::run_experiment(
-            [&](std::uint64_t s) {
-                const async::AsyncResult r =
-                    async::run_sequential_single_leader(n, k, alpha, c, s);
-                runner::TrialMetrics m;
-                m["cons"] = r.consensus_time;
-                m["ok"] = (r.converged && r.plurality_won) ? 1.0 : 0.0;
-                return m;
-            },
-            reps, 0xEA0F, /*threads=*/4);
+        const runner::ExperimentOutcome o =
+            api::run_sweep(sweep_of("async", 3000.0, 0xEA00)).cells[0].outcome;
+        const runner::ExperimentOutcome seq =
+            api::run_sweep(sweep_of("sequential", 3000.0, 0xEA0F)).cells[0].outcome;
         std::cout << "reference (no latencies at all, sequentialized model of"
                      " [EFK+17]):\n  consensus = "
-                  << format_double(seq.mean("cons"), 1)
-                  << " steps, success = " << format_double(seq.mean("ok"), 2)
-                  << "\n";
+                  << format_double(seq.mean("consensus_time"), 1)
+                  << " steps, success = "
+                  << format_double(seq.mean("plurality_won"), 2) << "\n";
         std::cout << "baseline (channel latencies, instant messages — "
                      "Algorithm 2+3):\n  consensus = "
-                  << format_double(o.mean("cons"), 1)
-                  << " steps, success = " << format_double(o.mean("ok"), 2)
-                  << "\n\n";
+                  << format_double(o.mean("consensus_time"), 1)
+                  << " steps, success = "
+                  << format_double(o.mean("plurality_won"), 2) << "\n\n";
     }
 
+    api::Sweep sweep = sweep_of("validated", 6000.0, 0xEA01);
+    const double mean_msgs[] = {0.01, 0.1, 0.5, 1.0, 2.0, 5.0};
+    api::SweepAxis msg_rate{"msg-rate", {}};
+    for (const double mean_msg : mean_msgs) {
+        msg_rate.values.push_back(JsonWriter::format_double(1.0 / mean_msg));
+    }
+    sweep.axes = {msg_rate};
     Table table({"mean msg latency m", "C1 steps/unit", "consensus",
                  "commits", "aborts", "abort rate", "success"});
-    std::uint64_t row = 0;
-    for (const double mean_msg : {0.01, 0.1, 0.5, 1.0, 2.0, 5.0}) {
-        const auto o = runner::run_experiment(
-            [&](std::uint64_t s) {
-                async::AsyncConfig c;
-                c.alpha_hint = alpha;
-                c.max_time = 6000.0;
-                c.record_series = false;
-                const async::ValidatedResult r =
-                    async::run_validated_single_leader(n, k, alpha, c,
-                                                       1.0 / mean_msg, s);
-                runner::TrialMetrics m;
-                m["c1"] = r.base.steps_per_unit;
-                if (r.base.consensus_time >= 0.0) m["cons"] = r.base.consensus_time;
-                m["commits"] = static_cast<double>(r.commits);
-                m["aborts"] = static_cast<double>(r.aborts);
-                m["abort_rate"] = r.abort_rate;
-                m["ok"] = (r.base.converged && r.base.plurality_won) ? 1.0 : 0.0;
-                return m;
-            },
-            reps, derive_seed(0xEA01, row++), /*threads=*/4);
+    const api::SweepResult result = api::run_sweep(sweep);
+    for (std::size_t row = 0; row < result.cells.size(); ++row) {
+        const runner::ExperimentOutcome& o = result.cells[row].outcome;
         table.row()
-            .add(mean_msg, 2)
-            .add(o.mean("c1"), 2)
-            .add(o.mean("cons"), 1)
+            .add(mean_msgs[row], 2)
+            .add(o.mean("steps_per_unit"), 2)
+            .add(o.mean("consensus_time"), 1)
             .add(o.mean("commits"), 0)
             .add(o.mean("aborts"), 0)
             .add(o.mean("abort_rate"), 4)
-            .add(o.mean("ok"), 2);
+            .add(o.mean("plurality_won"), 2);
     }
     table.print(std::cout);
 

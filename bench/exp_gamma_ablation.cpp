@@ -3,54 +3,49 @@
 /// "Empirical data show that the value 1/2 works well for reasonable input
 /// sizes, while too high values increase the time, and too small values
 /// decrease the stability." We sweep γ and report rounds and success rate.
+/// Each table is one api::Sweep of the registry's `sync` protocol over
+/// `gamma`, so every cell is exactly what api::run runs and replays with
+/// `papc_cli --sweep`; the last two columns are the closed-form schedule.
 
 #include <iostream>
 
-#include "opinion/assignment.hpp"
-#include "runner/experiment.hpp"
+#include "api/sweep.hpp"
 #include "runner/report.hpp"
 #include "support/table.hpp"
-#include "sync/algorithm1.hpp"
-#include "sync/engine.hpp"
+#include "sync/schedule.hpp"
 
 int main() {
     using namespace papc;
     runner::print_banner(std::cout, "E7: gamma ablation (Section 2.2 remark)");
 
-    const std::uint32_t k = 8;
-    const std::size_t reps = 10;
-
-    auto sweep = [&](std::size_t n, double alpha, std::uint64_t seed) {
+    auto sweep = [](std::size_t n, double alpha, std::uint64_t seed) {
+        api::Sweep sweep;
+        sweep.base.protocol = "sync";
+        sweep.base.n = n;
+        sweep.base.k = 8;
+        sweep.base.alpha = alpha;
+        sweep.base.max_steps = 3000;
+        sweep.base.record_series = false;
+        sweep.axes =
+            api::parse_sweep_spec("gamma=0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9").axes;
+        sweep.reps = 10;
+        sweep.base_seed = seed;
         Table table({"gamma", "rounds (mean)", "rounds (p90)", "success",
                      "G* two-choices steps", "schedule horizon"});
-        std::uint64_t row = 0;
-        for (const double gamma :
-             {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}) {
-            sync::ScheduleParams sp;
-            sp.n = n;
-            sp.k = k;
-            sp.alpha = alpha;
-            sp.gamma = gamma;
-            const sync::Schedule schedule{sp};
-            const auto o = runner::run_experiment(
-                [&](std::uint64_t s) {
-                    Rng rng(s);
-                    const Assignment a = make_biased_plurality(n, k, alpha, rng);
-                    sync::Algorithm1 alg(a, schedule);
-                    sync::RunOptions opts;
-                    opts.max_rounds = 3000;
-                    const sync::SyncResult r = run_to_consensus(alg, rng, opts);
-                    runner::TrialMetrics m;
-                    m["rounds"] = static_cast<double>(r.steps);
-                    m["success"] = (r.converged && r.winner == 0) ? 1.0 : 0.0;
-                    return m;
-                },
-                reps, derive_seed(seed, row++));
+        for (const api::SweepCell& cell : api::run_sweep(sweep).cells) {
+            const api::Scenario& s = cell.scenario;
+            const runner::ExperimentOutcome& o = cell.outcome;
+            sync::ScheduleParams params;
+            params.n = s.n;
+            params.k = s.k;
+            params.alpha = s.alpha;
+            params.gamma = s.gamma;
+            const sync::Schedule schedule{params};
             table.row()
-                .add(gamma, 1)
-                .add(o.mean("rounds"), 1)
-                .add(o.metrics.at("rounds").p90, 1)
-                .add(o.mean("success"), 2)
+                .add(s.gamma, 1)
+                .add(o.mean("steps"), 1)
+                .add(o.metrics.at("steps").p90, 1)
+                .add(o.mean("plurality_won"), 2)
                 .add(schedule.total_generations())
                 .add(schedule.horizon());
         }

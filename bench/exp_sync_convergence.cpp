@@ -1,65 +1,50 @@
 /// \file exp_sync_convergence.cpp
 /// Experiment E1 — Theorem 1: the synchronous protocol converges to the
 /// plurality opinion in O(log k · log log_α k + log log n) rounds whp.
-/// Two sweeps:
+/// Two sweeps of the registry's `sync` protocol (Algorithm 1):
 ///   (a) rounds vs n at fixed k, α — expect near-flat growth (log log n);
 ///   (b) rounds vs k at fixed n, α — expect ~log k · log log_α k growth.
 /// Each row reports the success rate (winner == plurality) and the
-/// theoretical shape value for comparison.
+/// theoretical shape value for comparison. Each table is one api::Sweep,
+/// so every cell is exactly what api::run runs; table (a) replays with
+///   papc_cli --protocol sync --k 8 --alpha 1.5 --max-steps 2000 --reps 5
+///            --seed 57601 --sweep "n=4096,16384,65536,262144,1048576"
 
 #include <iostream>
 
 #include "analysis/theory.hpp"
+#include "api/sweep.hpp"
 #include "opinion/assignment.hpp"
-#include "runner/experiment.hpp"
 #include "runner/report.hpp"
 #include "support/table.hpp"
-#include "sync/algorithm1.hpp"
-#include "sync/engine.hpp"
 
 namespace {
 
 using namespace papc;
 
-sync::SyncResult one_trial(std::size_t n, std::uint32_t k, double alpha,
-                           std::uint64_t seed) {
-    Rng rng(seed);
-    const Assignment a = make_biased_plurality(n, k, alpha, rng);
-    sync::ScheduleParams sp;
-    sp.n = n;
-    sp.k = k;
-    sp.alpha = alpha;
-    sync::Algorithm1 alg(a, sync::Schedule(sp));
-    sync::RunOptions opts;
-    opts.max_rounds = 2000;
-    return run_to_consensus(alg, rng, opts);
-}
-
-void sweep(const char* title, const std::vector<std::size_t>& ns,
-           const std::vector<std::uint32_t>& ks, double alpha,
-           std::size_t reps, std::uint64_t seed) {
+void sweep(const char* title, const char* axes, std::uint64_t seed) {
     runner::print_heading(std::cout, title);
+    api::Sweep sweep;
+    sweep.base.protocol = "sync";
+    sweep.base.alpha = 1.5;
+    sweep.base.max_steps = 2000;
+    sweep.base.record_series = false;
+    sweep.axes = api::parse_sweep_spec(axes).axes;
+    sweep.reps = 5;
+    sweep.base_seed = seed;
     Table table({"n", "k", "alpha", "rounds(mean)", "rounds(p90)", "success",
                  "theory shape"});
-    std::uint64_t row_index = 0;
-    for (const std::size_t n : ns) {
-        for (const std::uint32_t k : ks) {
-            // Unified-result trial: aggregates come straight from the
-            // core::RunResult metrics (steps = rounds on the sync axis).
-            const runner::ExperimentOutcome o = runner::run_experiment(
-                [&](std::uint64_t s) {
-                    return runner::metrics_from(one_trial(n, k, alpha, s));
-                },
-                reps, derive_seed(seed, row_index++));
-            table.row()
-                .add(n)
-                .add(k)
-                .add(alpha, 2)
-                .add(o.mean("steps"), 1)
-                .add(o.metrics.at("steps").p90, 1)
-                .add(o.mean("plurality_won"), 2)
-                .add(analysis::theorem1_runtime_shape(n, k, alpha), 1);
-        }
+    for (const api::SweepCell& cell : api::run_sweep(sweep).cells) {
+        const api::Scenario& s = cell.scenario;
+        const runner::ExperimentOutcome& o = cell.outcome;
+        table.row()
+            .add(s.n)
+            .add(s.k)
+            .add(s.alpha, 2)
+            .add(o.mean("steps"), 1)
+            .add(o.metrics.at("steps").p90, 1)
+            .add(o.mean("plurality_won"), 2)
+            .add(analysis::theorem1_runtime_shape(s.n, s.k, s.alpha), 1);
     }
     table.print(std::cout);
 }
@@ -72,10 +57,10 @@ int main() {
                          "E1 (Theorem 1): synchronous convergence time");
 
     sweep("(a) rounds vs n  [k = 8, alpha = 1.5]",
-          {1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20}, {8}, 1.5, 5, 0xE101);
+          "n=4096,16384,65536,262144,1048576;k=8", 0xE101);
 
-    sweep("(b) rounds vs k  [n = 2^16, alpha = 1.5]", {1 << 16},
-          {2, 4, 8, 16, 32, 64}, 1.5, 5, 0xE102);
+    sweep("(b) rounds vs k  [n = 2^16, alpha = 1.5]",
+          "n=65536;k=2,4,8,16,32,64", 0xE102);
 
     std::cout << "\nExpected shape: sweep (a) grows barely with n (log log n"
                  " term); sweep (b)\ngrows roughly like log k while k stays"

@@ -146,8 +146,11 @@ double sample_t3(const sim::LatencyModel& latency, Rng& rng) {
         const double leader = latency.sample(rng);
         return std::max(c1, c2) + leader;
     };
+    // Each t2_prime() draws three times; named locals fix their order.
     const double wait = rng.exponential(1.0);
-    return t2_prime() + wait + t2_prime();
+    const double before = t2_prime();
+    const double after = t2_prime();
+    return before + wait + after;
 }
 
 double t3_quantile_monte_carlo(const sim::LatencyModel& latency, double q,

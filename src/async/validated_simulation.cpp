@@ -55,7 +55,8 @@ bool ValidatedSingleLeaderSimulation::advance() {
             };
             // A signal needs a channel plus one message crossing.
             const auto signal_delay = [&] {
-                return channel_->sample(rng) + message_->sample(rng);
+                const double channel = channel_->sample(rng);
+                return channel + message_->sample(rng);
             };
             switch (ev.kind) {
                 case ValidatedEventKind::kTick: {
@@ -79,10 +80,10 @@ bool ValidatedSingleLeaderSimulation::advance() {
                         v.locked = true;
                         ++scratch.good_ticks;
                         scratch.channels_opened += 3;
+                        const double peer_a = channel_->sample(rng);
+                        const double peer_b = channel_->sample(rng);
                         const double establish =
-                            std::max(channel_->sample(rng),
-                                     channel_->sample(rng)) +
-                            channel_->sample(rng);
+                            std::max(peer_a, peer_b) + channel_->sample(rng);
                         const double first_round =
                             2.0 * message_->sample(rng);  // request + reply
                         ValidatedEvent snap;
@@ -134,9 +135,9 @@ bool ValidatedSingleLeaderSimulation::advance() {
                             val.decision = decision;
                             val.snap_gen = snap_leader_gen_;
                             val.snap_prop = snap_leader_prop_;
+                            const double channel = channel_->sample(rng);
                             const double validation =
-                                channel_->sample(rng) +
-                                2.0 * message_->sample(rng);
+                                channel + 2.0 * message_->sample(rng);
                             ctx.emit(ctx.shard(), t + validation, val);
                             break;
                         }

@@ -142,20 +142,24 @@ ClusteringResult run_clustering(std::size_t n, const ClusterConfig& config,
                     // Broadcast gossip: contact the own leader and the
                     // leaders of two random nodes (§4.2).
                     if (broadcast_started) {
-                        queue->push(
-                            now + latency.sample(rng) + latency.sample(rng),
-                            EventPayload{EventKind::kGossip, v, sample_node(),
-                                         sample_node(), 0, my_cluster});
+                        // sample_node() draws from rng too, so the payload
+                        // is built in its own statement, before the latencies.
+                        const EventPayload gossip{EventKind::kGossip, v,
+                                                  sample_node(), sample_node(),
+                                                  0, my_cluster};
+                        const double to_leader = latency.sample(rng);
+                        const double onward = latency.sample(rng);
+                        queue->push(now + to_leader + onward, gossip);
                     }
                 } else if (!join_pending[v]) {
                     // Unassigned follower: try to join via three samples.
                     join_pending[v] = true;
                     const double channels = std::max(
                         {latency.sample(rng), latency.sample(rng), latency.sample(rng)});
-                    queue->push(now + channels + latency.sample(rng),
-                                EventPayload{EventKind::kJoinAttempt, v,
-                                             sample_node(), sample_node(),
-                                             sample_node(), kNoCluster});
+                    const EventPayload join{EventKind::kJoinAttempt, v,
+                                            sample_node(), sample_node(),
+                                            sample_node(), kNoCluster};
+                    queue->push(now + channels + latency.sample(rng), join);
                 }
                 queue->push(now + rng.exponential(1.0),
                             EventPayload{EventKind::kTick, v, 0, 0, 0,

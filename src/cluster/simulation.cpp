@@ -180,8 +180,9 @@ bool MultiLeaderSimulation::advance() {
                         const double stage1 =
                             std::max({latency_.sample(rng), latency_.sample(rng),
                                       latency_.sample(rng)});
-                        const double stage2 =
-                            std::max(latency_.sample(rng), latency_.sample(rng));
+                        const double hop_a = latency_.sample(rng);
+                        const double hop_b = latency_.sample(rng);
+                        const double stage2 = std::max(hop_a, hop_b);
                         ClusterEvent ex;
                         ex.kind = ClusterEventKind::kExchange;
                         ex.node = v;

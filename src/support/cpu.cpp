@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 
 #if defined(__x86_64__) && !defined(PAPC_DISABLE_SIMD)
 #define PAPC_SIMD_X86 1
@@ -46,12 +45,6 @@ SimdLevel detect() {
 SimdLevel detect() { return SimdLevel::kScalar; }
 #endif
 
-bool force_scalar_env() {
-    const char* value = std::getenv("PAPC_FORCE_SCALAR");
-    return value != nullptr && value[0] != '\0' &&
-           !(value[0] == '0' && value[1] == '\0');
-}
-
 }  // namespace
 
 const char* simd_level_name(SimdLevel level) {
@@ -75,8 +68,6 @@ SimdLevel active_simd() {
         const auto requested = static_cast<SimdLevel>(override_slot - 1);
         return requested <= detected_simd() ? requested : detected_simd();
     }
-    static const bool forced_scalar = force_scalar_env();
-    if (forced_scalar) return SimdLevel::kScalar;
     return detected_simd();
 }
 

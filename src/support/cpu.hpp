@@ -11,9 +11,7 @@
 ///   1. a process-wide override installed by set_simd_override() — the
 ///      test hook the SIMD/scalar equivalence suite uses to pin both
 ///      paths against each other on one machine;
-///   2. the PAPC_FORCE_SCALAR environment variable (any non-empty value
-///      other than "0") — the operational kill switch, read once;
-///   3. cpuid detection: AVX2 requires CPUID.7.0:EBX[5], plus
+///   2. cpuid detection: AVX2 requires CPUID.7.0:EBX[5], plus
 ///      CPUID.1:ECX OSXSAVE+AVX and XCR0 confirming the OS saves YMM
 ///      state (a kernel that does not context-switch the upper halves
 ///      makes AVX2 execution unsafe even when the CPU has it).
@@ -45,8 +43,7 @@ enum class SimdLevel {
 [[nodiscard]] SimdLevel detected_simd();
 
 /// The level the kernels should use right now: the override if one is
-/// installed, else kScalar if PAPC_FORCE_SCALAR is set in the
-/// environment, else detected_simd(). Cheap enough for per-strip checks
+/// installed, else detected_simd(). Cheap enough for per-strip checks
 /// (one relaxed atomic load + cached statics).
 [[nodiscard]] SimdLevel active_simd();
 
@@ -56,7 +53,7 @@ enum class SimdLevel {
 /// active_simd() afterwards.
 void set_simd_override(SimdLevel level);
 
-/// Removes the override; active_simd() falls back to env + detection.
+/// Removes the override; active_simd() falls back to detection.
 void clear_simd_override();
 
 /// True while a set_simd_override() override is installed. Size-gated

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
+
+#include "support/random.hpp"
+#include "support/stats.hpp"
 
 namespace papc::api {
 namespace {
@@ -197,6 +201,49 @@ TEST(SweepRun, ProtocolItselfCanBeAnAxis) {
     // undecided_final.
     EXPECT_EQ(result.cells[0].outcome.count("undecided_final"), 0U);
     EXPECT_EQ(result.cells[1].outcome.count("undecided_final"), 2U);
+}
+
+TEST(SweepRun, CellTrialsReplayWithApiRun) {
+    // A bench table prints SweepCell outcomes; any one of its trials must
+    // replay on its own as api::run(cell.scenario, derive_seed(derive_seed(
+    // base_seed, i), r)), read through runner::metrics_from plus extras.
+    Sweep sweep;
+    sweep.base.n = 256;
+    sweep.base.k = 2;
+    sweep.base.alpha = 2.0;
+    sweep.base.record_series = false;
+    sweep.axes = parse_sweep_spec("protocol=sync,validated,pp-3-state").axes;
+    sweep.reps = 3;
+    sweep.base_seed = 29;
+    sweep.threads = 2;
+    const SweepResult result = run_sweep(sweep);
+    ASSERT_EQ(result.cells.size(), 3U);
+    for (std::size_t i = 0; i < result.cells.size(); ++i) {
+        const SweepCell& cell = result.cells[i];
+        std::map<std::string, std::vector<double>> replayed;
+        for (std::size_t r = 0; r < sweep.reps; ++r) {
+            const ScenarioResult run = api::run(
+                cell.scenario, derive_seed(derive_seed(sweep.base_seed, i), r));
+            runner::TrialMetrics metrics = runner::metrics_from(run.run);
+            for (const auto& [name, value] : run.extras) metrics[name] = value;
+            for (const auto& [name, value] : metrics) {
+                replayed[name].push_back(value);
+            }
+        }
+        ASSERT_EQ(replayed.size(), cell.outcome.metrics.size()) << i;
+        for (const auto& [name, values] : replayed) {
+            const auto it = cell.outcome.metrics.find(name);
+            ASSERT_NE(it, cell.outcome.metrics.end()) << i << " " << name;
+            const Summary expected = summarize(values);
+            EXPECT_EQ(it->second.count, expected.count) << i << " " << name;
+            EXPECT_EQ(it->second.mean, expected.mean) << i << " " << name;
+            EXPECT_EQ(it->second.min, expected.min) << i << " " << name;
+            EXPECT_EQ(it->second.max, expected.max) << i << " " << name;
+            EXPECT_EQ(it->second.p90, expected.p90) << i << " " << name;
+        }
+    }
+    // The extras a bench reads are among the replayed metrics.
+    EXPECT_EQ(result.cells[1].outcome.count("abort_rate"), sweep.reps);
 }
 
 }  // namespace

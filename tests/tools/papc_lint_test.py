@@ -4,7 +4,8 @@
 Asserts, in order:
   1. each rule fixture trips exactly its rule ID (and nothing else) —
      including the v2 whole-program rules: D7 colliding substream labels,
-     D8 unsafe shard captures, and the L1 cycle / L2 upward-include tree
+     D8 unsafe shard captures, D9 unsequenced draws from one generator,
+     and the L1 cycle / L2 upward-include tree
      fixtures linted as self-contained mini-repos via --tree,
   1d. L3: in the l3_unreachable tree exactly the unreached src/ files are
      flagged, a justified allow(L3) suppresses, a bare one is SUPP,
@@ -53,6 +54,8 @@ FIXTURE_EXPECTATIONS = {
     "d7_suppressed_ok.cpp": (set(), 0, "src/sync"),
     "d8_shard_capture.cpp": ({"D8"}, 1, "src/sync"),
     "d8_suppressed_ok.cpp": (set(), 0, "src/sync"),
+    "d9_unsequenced_draw.cpp": ({"D9"}, 1, "src/sync"),
+    "d9_sequenced_ok.cpp": (set(), 0, "src/sync"),
     "suppressed_ok.cpp": (set(), 0, "src/sync"),
     "suppression_missing_justification.cpp": ({"SUPP"}, 1, "src/sync"),
 }

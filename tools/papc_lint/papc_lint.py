@@ -63,6 +63,26 @@ Per-file rules (token patterns on comment/string-blanked lines):
                           locally-bound references or member calls are
                           invisible at token level; known-safe folds carry
                           a justified suppression.
+  D9 unsequenced-draw     One engine statement (src/ outside support/)
+                          may draw at most once from each generator
+                          outside braced init lists: C++ leaves the
+                          evaluation order of call arguments and of `+`
+                          operands unspecified, so `f(rng.uniform(),
+                          rng.uniform())` or `a.sample(rng) +
+                          b.sample(rng)` draws in a compiler-chosen order
+                          and a fixed seed stops fixing the trajectory.
+                          A draw is a consuming Rng method called on an
+                          identifier ending in `rng` (rng.exponential(),
+                          rng_->split()) or such an identifier passed
+                          whole to a call (latency.sample(rng)). Braced
+                          init lists evaluate left to right, so each
+                          counts once for the statement and is checked
+                          element by element. Move each draw into a
+                          named local. Approximate by design: a draw
+                          made inside a lambda that captures the
+                          generator (t2_prime(), sample_node()) is
+                          invisible at the call site, and draws split by
+                          &&, || or ?: are still counted together.
 
 Whole-program passes (need the full target set, not one file):
 
@@ -163,6 +183,7 @@ RULE_NAMES = {
     "D6": "fault-hygiene",
     "D7": "substream-collision",
     "D8": "shard-capture",
+    "D9": "unsequenced-draw",
     "L1": "include-cycle",
     "L2": "layer-violation",
     "L3": "unreachable-source",
@@ -171,7 +192,7 @@ RULE_NAMES = {
 NAME_TO_ID = {name: rule_id for rule_id, name in RULE_NAMES.items()}
 
 # Which rules run where, by top-level directory. Engine-only rules (D2,
-# D3, D6, D7, D8) are relaxed for tests/: the pool, atomics, fault plans
+# D3, D6, D7, D8, D9) are relaxed for tests/: the pool, atomics, fault plans
 # and substream collisions are exactly what the test suites exercise on
 # purpose. bench/ and examples/ are user-facing consumer code: they keep
 # the container/SIMD/clock hygiene rules and the shard-capture rule (a
@@ -179,7 +200,7 @@ NAME_TO_ID = {name: rule_id for rule_id, name in RULE_NAMES.items()}
 # substream layering rules. The whole-program layer pass (L1-L3) is not
 # listed here — it runs on the full include graph regardless.
 PROFILES = {
-    "src": {"D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "SUPP"},
+    "src": {"D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8", "D9", "SUPP"},
     "tests": {"D1", "D4", "D5", "SUPP"},
     "bench": {"D1", "D2", "D4", "D5", "D8", "SUPP"},
     "examples": {"D1", "D2", "D4", "D5", "D8", "SUPP"},
@@ -891,6 +912,178 @@ def extract_pool_lambda_violations(relpath, index):
     return out
 
 
+# -------------------------------------------------- D9: unsequenced draws
+
+D9_METHODS = ("split", "next_u64", "fill_u64", "uniform", "uniform_index",
+              "uniform_index_excluding", "bernoulli", "exponential",
+              "normal", "gamma", "weibull", "lognormal", "shuffle")
+DRAW_METHOD_RE = re.compile(
+    r"\b(\w*rng_?)\s*(?:\.|->)\s*(?:" + "|".join(D9_METHODS) + r")\s*\(")
+DRAW_ARG_RE = re.compile(r"[(,]\s*\*?\s*(\w*rng_?)\s*(?=[,)])")
+CONTROL_RE = re.compile(r"\b(?:if|while|for|switch|catch)\s*$")
+BLOCK_WORD_RE = re.compile(r"\b(?:else|do|try|const|override|final|"
+                           r"noexcept)$")
+TYPE_HEAD_RE = re.compile(r"(?:^|[;{}])\s*(?:template\s*<[^{};]*>\s*)?"
+                          r"(?:struct|class|union|enum|namespace)\b[^;{}]*$")
+
+
+class _Expr:
+    """One full expression: its draws (offset, generator) outside braced
+    init lists, and the init lists it holds (each a list of element
+    _Exprs, which are sequenced left to right)."""
+
+    def __init__(self):
+        self.draws = []
+        self.lists = []
+
+    def generators(self):
+        out = {g for _, g in self.draws}
+        for elements in self.lists:
+            for element in elements:
+                out |= element.generators()
+        return out
+
+
+def _is_lambda_head(text, close_paren):
+    """True when the ')' at text[close_paren] closes a lambda's parameter
+    list (the matching '(' follows a capture list's ']')."""
+    depth = 0
+    for k in range(close_paren, -1, -1):
+        if text[k] == ")":
+            depth += 1
+        elif text[k] == "(":
+            depth -= 1
+            if depth == 0:
+                k -= 1
+                while k >= 0 and text[k].isspace():
+                    k -= 1
+                return k >= 0 and text[k] == "]"
+    return False
+
+
+def _brace_kind(text, i, parent_kind):
+    """Classifies the '{' at text[i]: 'list' (a braced init list),
+    'lambda' (a body the enclosing statement continues past) or 'block'
+    (a compound statement, function, type or namespace body)."""
+    j = i - 1
+    while j >= 0 and text[j].isspace():
+        j -= 1
+    if j < 0:
+        return "block"
+    last = text[j]
+    head = text[max(0, j - 300):j + 1]
+    if last == "]":
+        return "lambda"
+    if last == ")":
+        return "lambda" if _is_lambda_head(text, j) else "block"
+    if last in "{,":
+        return "list" if last == "," or parent_kind == "list" else "block"
+    if last in ";}:":
+        return "block"
+    if last in "=(" or re.search(r"\breturn$", head):
+        return "list"
+    if re.search(r"\bmutable$", head):
+        return "lambda"
+    arrow = re.search(r"\)\s*(?:mutable\s*)?(?:noexcept\s*)?->[^;{}()=]*$",
+                      head)
+    if arrow:
+        close = j - len(head) + 1 + arrow.start()
+        return "lambda" if _is_lambda_head(text, close) else "block"
+    if BLOCK_WORD_RE.search(head) or TYPE_HEAD_RE.search(head):
+        return "block"
+    return "list"
+
+
+def _check_expr(expr, relpath, index, out):
+    """Reports each generator drawn more than once in `expr` (a braced
+    init list counts once), then checks every init-list element."""
+    units = {}
+    for offset, generator in expr.draws:
+        units.setdefault(generator, []).append(offset)
+    for elements in expr.lists:
+        drawn = set()
+        for element in elements:
+            drawn |= element.generators()
+        for generator in drawn:
+            units.setdefault(generator, []).append(None)
+    for generator, offsets in sorted(units.items()):
+        anchors = [o for o in offsets if o is not None]
+        if len(offsets) < 2 or not anchors:
+            continue
+        out.append(Violation(
+            relpath, index.line_of(anchors[0]), index.col_of(anchors[0]),
+            "D9",
+            f"{len(offsets)} unsequenced draws from '{generator}' in one "
+            f"statement: C++ leaves their order unspecified, so the "
+            f"fixed-seed trajectory depends on the compiler; draw into "
+            f"named locals first"))
+    for elements in expr.lists:
+        for element in elements:
+            _check_expr(element, relpath, index, out)
+
+
+def extract_unsequenced_draws(relpath, index):
+    """D9: statements that draw twice from one generator with nothing
+    sequencing the draws."""
+    text = "\n".join(" " * len(line) if line.lstrip().startswith("#")
+                     else line for line in index.text.split("\n"))
+    draws = {}
+    for regex in (DRAW_METHOD_RE, DRAW_ARG_RE):
+        for m in regex.finditer(text):
+            draws[m.start(1)] = m.group(1)
+    out = []
+    # Frames [kind, payload]: block/lambda hold the current statement's
+    # _Expr, list its element _Exprs, paren whether it is a control head
+    # (if/while/for/switch/catch), whose close ends the statement.
+    stack = [["block", _Expr()]]
+
+    def collector():
+        for kind, payload in reversed(stack):
+            if kind in ("block", "lambda"):
+                return payload
+            if kind == "list":
+                return payload[-1]
+        return stack[0][1]
+
+    def end_statement():
+        frame = stack[-1]
+        if frame[0] in ("block", "lambda"):
+            _check_expr(frame[1], relpath, index, out)
+            frame[1] = _Expr()
+
+    for i, c in enumerate(text):
+        if i in draws:
+            collector().draws.append((i, draws[i]))
+        if c in "([":
+            stack.append(["paren", c == "(" and bool(
+                CONTROL_RE.search(text[max(0, i - 24):i]))])
+        elif c in ")]":
+            if len(stack) > 1 and stack[-1][0] == "paren":
+                if stack.pop()[1]:
+                    end_statement()
+        elif c == "{":
+            kind = _brace_kind(text, i, stack[-1][0])
+            if kind == "list":
+                elements = [_Expr()]
+                collector().lists.append(elements)
+                stack.append(["list", elements])
+            else:
+                if kind == "block":
+                    end_statement()
+                stack.append([kind, _Expr()])
+        elif c == "}":
+            if len(stack) > 1:
+                kind, payload = stack.pop()
+                if kind in ("block", "lambda"):
+                    _check_expr(payload, relpath, index, out)
+        elif c == ";":
+            end_statement()
+        elif c == "," and stack[-1][0] == "list":
+            stack[-1][1].append(_Expr())
+    end_statement()
+    return out
+
+
 # ----------------------------------------------------- layer manifest + L*
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
@@ -1225,6 +1418,9 @@ def lint_per_file(fl):
     if "D8" in profile:
         raw.extend(extract_pool_lambda_violations(fl.relpath, fl.index))
 
+    if "D9" in profile and not _under(fl.relpath, "src/support/"):
+        raw.extend(extract_unsequenced_draws(fl.relpath, fl.index))
+
     if fl.relpath == D5_ALLOWED and not any(
             D5_REQUIRED_TOKEN.search(line) for line in fl.code_lines):
         raw.append(Violation(
@@ -1357,7 +1553,7 @@ def main(argv):
     parser = argparse.ArgumentParser(
         prog="papc_lint",
         description="determinism + architecture lint for papc "
-                    "(rules D1-D8, L1-L3; see --list-rules)")
+                    "(rules D1-D9, L1-L3; see --list-rules)")
     parser.add_argument("--compdb", metavar="BUILDDIR",
                         help="build dir (or compile_commands.json); lints "
                              "the whole repo (src/tests/bench/examples) "
