@@ -2,9 +2,11 @@
 /// Domain example: a swarm of battery-powered sensors must agree on the
 /// dominant classification of an observed event (e.g. "which direction did
 /// the target move"). Sensors wake up asynchronously (Poisson clocks),
-/// radio-link setup takes non-trivial, *positively aging* time (TDMA slot
-/// acquisition ≈ uniform latency), and no central coordinator exists — the
-/// decentralized multi-leader protocol (paper §4) is the right fit.
+/// radio-link setup takes a random, non-trivial time, and no central
+/// coordinator exists — the decentralized multi-leader protocol (paper §4)
+/// is the right fit. MultiLeaderSimulation always draws link latencies
+/// from sim::ExponentialLatency: memoryless, the boundary case of the
+/// paper's positive-aging (NBU) condition.
 ///
 /// The measurement noise is modelled by a Zipf-distributed initial opinion
 /// split: the true class is observed most often, confusable classes less so.

@@ -79,8 +79,4 @@ void clear_simd_override() {
     g_override.store(0, std::memory_order_relaxed);
 }
 
-bool simd_override_active() {
-    return g_override.load(std::memory_order_relaxed) != 0;
-}
-
 }  // namespace papc::support

@@ -3,10 +3,12 @@
 /// \file cpu.hpp
 /// Runtime CPU-feature detection and SIMD dispatch policy (PR 7).
 ///
-/// The sync round kernels have an AVX2 gather path (sync/simd_gather.hpp)
-/// that must be selected at runtime: the same binary runs on machines with
-/// and without AVX2, and CI exercises the scalar fallback on AVX2 hardware
-/// by forcing dispatch the other way. Resolution order:
+/// The sync round kernels' packed-lane gather has an AVX2 path
+/// (sync/simd_gather.hpp) that must be selected at runtime: the same
+/// binary runs on machines with and without AVX2, and the tests exercise
+/// the scalar fallback on AVX2 hardware by forcing dispatch the other way.
+/// That gather is the only dispatch site, and it takes the level as it
+/// is: no size gate or other heuristic sits on top. Resolution order:
 ///
 ///   1. a process-wide override installed by set_simd_override() — the
 ///      test hook the SIMD/scalar equivalence suite uses to pin both
@@ -17,11 +19,11 @@
 ///      makes AVX2 execution unsafe even when the CPU has it).
 ///
 /// Building with -DPAPC_DISABLE_SIMD (the CI -mno-avx2 job) compiles the
-/// AVX2 kernels out entirely; detection then reports scalar regardless of
-/// the hardware, so the dispatch sites need no #ifdefs of their own.
+/// AVX2 kernel out entirely; detection then reports scalar regardless of
+/// the hardware, so the dispatch site needs no #ifdefs of its own.
 ///
-/// The dispatch decision never changes results: the SIMD kernels are
-/// bit-identical value gathers (pinned by tests/sync/simd_equivalence_
+/// The dispatch decision never changes results: the SIMD kernel is a
+/// bit-identical value gather (pinned by tests/sync/simd_equivalence_
 /// test.cpp), so this is a pure throughput knob.
 
 namespace papc::support {
@@ -55,11 +57,5 @@ void set_simd_override(SimdLevel level);
 
 /// Removes the override; active_simd() falls back to detection.
 void clear_simd_override();
-
-/// True while a set_simd_override() override is installed. Size-gated
-/// dispatch policies (sync/simd_gather.hpp's u64 gate) bypass their
-/// heuristics under an override so equivalence tests can force either
-/// path at any working-set size.
-[[nodiscard]] bool simd_override_active();
 
 }  // namespace papc::support

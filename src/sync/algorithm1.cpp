@@ -34,8 +34,7 @@ void Algorithm1::step(Rng& rng) {
     const Generation rows = census_.highest_populated() + 2;
     const std::size_t delta_size = static_cast<std::size_t>(rows) * k_;
 
-    const RawGather64 gather(
-        byz_round_ ? reported_state_.data() : state_.data(), state_.size());
+    const RawGather64 gather{byz_round_ ? reported_state_.data() : state_.data()};
     const PackedState* state = state_.data();
     PackedState* next = next_state_.data();
     driver_.run_batched<2>(rng, round_,

@@ -11,7 +11,7 @@
 /// All run in the same synchronous double-buffered round model as
 /// Algorithm 1 and satisfy the SyncDynamics interface. Since PR 4 the
 /// rounds run through the batched block kernels of round_kernel.hpp
-/// (index batch + prefetched gather + fused census deltas); 3-majority's
+/// (index batch + strip gather + fused census deltas); 3-majority's
 /// data-dependent tie-break keeps the scalar decide order and batches
 /// only the raw RNG stream through a BufferedSampler. Since PR 5 the
 /// blocks are shards of a ShardedRoundDriver: every shard draws from its

@@ -1,9 +1,8 @@
 #pragma once
 
 /// \file round_kernel.hpp
-/// Shared building blocks of the batched synchronous round kernels (PR 4),
-/// the sharded round executor on top of them (PR 5), and the SIMD gather +
-/// arena layer (PR 7).
+/// Shared building blocks of the batched synchronous round kernels, the
+/// sharded round executor on top of them, and its per-worker arenas.
 ///
 /// Every sync-family engine advances n independent nodes per round, each
 /// node deciding from one to three uniform peer samples. The scalar loops
@@ -14,10 +13,10 @@
 ///   1. index batch — Rng::uniform_indices fills a block of peer indices
 ///      in one tight Lemire loop (bit-identical to scalar draw order);
 ///   2. gather + decide — a Gatherer fills a kGatherStrip-node strip
-///      buffer with the sampled values (AVX2 `vpgatherqq` when the CPU
-///      has it — see sync/simd_gather.hpp — with strip s + 1's lines
-///      prefetched while strip s fills), then the decide loop reads the
-///      strip sequentially;
+///      buffer with the sampled values (packed lanes through the AVX2
+///      gather when the CPU has it — see sync/simd_gather.hpp — and
+///      Algorithm 1's u64 words through a plain loop), then the decide
+///      loop reads the strip sequentially;
 ///   3. fused census — count deltas accumulate inside the write loop and
 ///      are applied at commit, deleting the per-round census rescan.
 ///
@@ -76,57 +75,23 @@ static_assert(kRoundBlock % 32 == 0,
 /// consumers) prefetch speculative gather targets.
 inline constexpr std::size_t kPrefetchAhead = 16;
 
-/// Issues a read prefetch for every array[idx[i]] of one block — a pure
-/// load/prefetch loop whose memory-level parallelism is bounded only by
-/// the cache hierarchy (the serially dependent RNG already ran in the
-/// index-batch phase). One kernel block's gather set (<= 2 * 4096 lines,
-/// ~512 KiB worst case) fits L2, so the gather that follows hits L2
-/// instead of paying DRAM/L3 latency per random load.
-template <typename T>
-inline void prefetch_gather(const T* array, const std::uint64_t* idx,
-                            std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) {
-#if defined(__GNUC__) || defined(__clang__)
-        // locality 2: keep the block's gather set in L2 for the decide loop.
-        __builtin_prefetch(array + idx[i], 0, 2);
-#else
-        (void)array;
-        (void)idx;
-#endif
-    }
-}
-
-/// Strip size of the software-pipelined gather phase: prefetching one
-/// strip ahead bounds the in-flight hints to what the line-fill buffers
-/// can track, while one strip of gather + decide work gives every
-/// prefetched line time to arrive before it is loaded. The strip value
-/// buffer (kGatherStrip * draws elements) lives on the stack — at most
-/// 4 KiB.
+/// Strip size of the gather phase: gather_decide fills one strip buffer
+/// (kGatherStrip * draws elements, at most 4 KiB, on the stack) and then
+/// decides from it, so the decide loop reads sequentially.
 inline constexpr std::size_t kGatherStrip = 256;
 
 /// Gatherer over a plain u64 array: out[i] = array[idx[i]] — Algorithm 1's
-/// packed (generation << 32 | opinion) state words.
+/// packed (generation << 32 | opinion) state words. A plain loop: neither
+/// a `vpgatherqq` kernel nor a strip prefetch made it faster (README,
+/// "SIMD gather dispatch").
 struct RawGather64 {
     using Value = std::uint64_t;
 
     const std::uint64_t* array;
-    /// Whether the AVX2 path is worth taking for this array's size
-    /// (simd::u64_gather_profitable; bit-identical either way).
-    bool use_simd;
 
-    RawGather64(const std::uint64_t* a, std::size_t size)
-        : array(a), use_simd(simd::u64_gather_profitable(size * 8)) {}
-
-    void prefetch(const std::uint64_t* idx, std::size_t count) const {
-        prefetch_gather(array, idx, count);
-    }
     void gather(const std::uint64_t* idx, std::size_t count,
                 Value* out) const {
-        if (use_simd) {
-            simd::gather_u64(array, idx, count, out);
-        } else {
-            simd::gather_u64_scalar_path(array, idx, count, out);
-        }
+        for (std::size_t i = 0; i < count; ++i) out[i] = array[idx[i]];
     }
 };
 
@@ -135,27 +100,9 @@ struct RawGather64 {
 struct PackedGather {
     using Value = Opinion;
 
-    /// Strip prefetch only pays once the packed words outgrow L2: below
-    /// ~4 MiB the random loads hit L2/L3 anyway and the per-lane prefetch
-    /// instruction (plus its address shift) is pure overhead on the
-    /// 1-draw protocols' hot loop. Packing is what pulls most arrays
-    /// under this line — n = 2^22 at k = 8 is 2 MiB packed vs 16 MiB raw.
-    static constexpr std::size_t kPrefetchMinBytes = std::size_t{4} << 20U;
-
     explicit PackedGather(const PackedOpinionArray& array)
-        : words_(array.words()),
-          log2_lane_bits_(array.log2_lane_bits()),
-          index_shift_(6U - array.log2_lane_bits()),
-          prefetch_(array.memory_bytes() >= kPrefetchMinBytes) {}
+        : words_(array.words()), log2_lane_bits_(array.log2_lane_bits()) {}
 
-    void prefetch(const std::uint64_t* idx, std::size_t count) const {
-        if (!prefetch_) return;
-        for (std::size_t i = 0; i < count; ++i) {
-#if defined(__GNUC__) || defined(__clang__)
-            __builtin_prefetch(words_ + (idx[i] >> index_shift_), 0, 2);
-#endif
-        }
-    }
     void gather(const std::uint64_t* idx, std::size_t count,
                 Value* out) const {
         simd::gather_packed(words_, idx, count, log2_lane_bits_, out);
@@ -164,34 +111,24 @@ struct PackedGather {
 private:
     const std::uint64_t* words_;
     unsigned log2_lane_bits_;
-    unsigned index_shift_;
-    bool prefetch_;
 };
 
 /// Gather + decide phase of one kernel block: fills a strip buffer with
 /// the kDraws sampled values per node (gatherer.gather — the SIMD hot
-/// loop) and runs decide(i, values) for every i in [0, count) with
-/// values[d] the node's d-th sample; strip s + 1's random lines are
-/// prefetched while strip s gathers and decides. The strip buffer is
-/// byte-identical whichever gather path filled it, so SIMD dispatch can
-/// never change a decision.
+/// loop for packed lanes) and runs decide(i, values) for every i in
+/// [0, count), in ascending order, with values[d] the node's d-th sample.
+/// The strip buffer is byte-identical whichever gather path filled it, so
+/// SIMD dispatch can never change a decision.
 template <int kDraws, typename Gatherer, typename DecideFn>
 inline void gather_decide(const Gatherer& gatherer, const std::uint64_t* idx,
                           std::size_t count, DecideFn&& decide) {
-    typename Gatherer::Value strip[kGatherStrip * static_cast<std::size_t>(kDraws)];
-    gatherer.prefetch(idx, static_cast<std::size_t>(kDraws) *
-                               std::min(kGatherStrip, count));
+    constexpr auto kD = static_cast<std::size_t>(kDraws);
+    typename Gatherer::Value strip[kGatherStrip * kD];
     for (std::size_t s = 0; s < count; s += kGatherStrip) {
         const std::size_t end = std::min(s + kGatherStrip, count);
-        if (end < count) {
-            const std::size_t next_end = std::min(end + kGatherStrip, count);
-            gatherer.prefetch(idx + static_cast<std::size_t>(kDraws) * end,
-                              static_cast<std::size_t>(kDraws) * (next_end - end));
-        }
-        gatherer.gather(idx + static_cast<std::size_t>(kDraws) * s,
-                        static_cast<std::size_t>(kDraws) * (end - s), strip);
+        gatherer.gather(idx + kD * s, kD * (end - s), strip);
         for (std::size_t i = s; i < end; ++i) {
-            decide(i, strip + static_cast<std::size_t>(kDraws) * (i - s));
+            decide(i, strip + kD * (i - s));
         }
     }
 }

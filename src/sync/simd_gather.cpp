@@ -10,27 +10,22 @@
 namespace papc::sync::simd {
 namespace {
 
-// The AVX2 kernels below hard-code the memory layout: 8-byte gather
-// strides over std::uint64_t arrays, and a 16-byte _mm_storeu_si128 that
+// The AVX2 kernel below hard-codes the memory layout: 8-byte gather
+// strides over std::uint64_t words, and a 16-byte _mm_storeu_si128 that
 // writes four Opinion lanes at once. Pin those assumptions so a future
 // Opinion retype fails here, at compile time, instead of corrupting the
 // gather output.
 static_assert(sizeof(std::uint64_t) == 8,
-              "gather kernels assume 8-byte index/word strides");
+              "gather_packed assumes 8-byte index/word strides");
 static_assert(sizeof(Opinion) == 4,
               "gather_packed compacts four 4-byte Opinion lanes per store");
 static_assert(kUndecided == static_cast<Opinion>(0xFFFFFFFFU),
               "the all-ones sentinel lane must decode to kUndecided");
 
-/// Scalar reference paths. These are also the only paths on non-x86-64
-/// or -DPAPC_DISABLE_SIMD builds; the AVX2 kernels must match them bit
-/// for bit (they read the same memory, so equality is structural, but
-/// the equivalence suite pins it anyway).
-
-void gather_u64_scalar(const std::uint64_t* array, const std::uint64_t* idx,
-                       std::size_t count, std::uint64_t* out) {
-    for (std::size_t i = 0; i < count; ++i) out[i] = array[idx[i]];
-}
+/// Scalar reference path. It is also the only path on non-x86-64 or
+/// -DPAPC_DISABLE_SIMD builds; the AVX2 kernel must match it bit for bit
+/// (both read the same memory, so equality is structural, but the
+/// equivalence suite pins it anyway).
 
 inline Opinion packed_lane_scalar(const std::uint64_t* words, std::uint64_t i,
                                   unsigned log2_lane_bits,
@@ -58,20 +53,6 @@ void gather_packed_scalar(const std::uint64_t* words, const std::uint64_t* idx,
 }
 
 #if defined(PAPC_SIMD_X86)
-
-__attribute__((target("avx2"))) void gather_u64_avx2(
-    const std::uint64_t* array, const std::uint64_t* idx, std::size_t count,
-    std::uint64_t* out) {
-    std::size_t i = 0;
-    for (; i + 4 <= count; i += 4) {
-        const __m256i lanes_idx = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(idx + i));
-        const __m256i values = _mm256_i64gather_epi64(
-            reinterpret_cast<const long long*>(array), lanes_idx, 8);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), values);
-    }
-    for (; i < count; ++i) out[i] = array[idx[i]];
-}
 
 __attribute__((target("avx2"))) void gather_packed_avx2(
     const std::uint64_t* words, const std::uint64_t* idx, std::size_t count,
@@ -120,29 +101,6 @@ __attribute__((target("avx2"))) void gather_packed_avx2(
 #endif  // PAPC_SIMD_X86
 
 }  // namespace
-
-void gather_u64_scalar_path(const std::uint64_t* array,
-                            const std::uint64_t* idx, std::size_t count,
-                            std::uint64_t* out) {
-    gather_u64_scalar(array, idx, count, out);
-}
-
-bool u64_gather_profitable(std::size_t array_bytes) {
-    if (support::simd_override_active()) return true;
-    return array_bytes >= kU64GatherSimdMinBytes &&
-           array_bytes <= kU64GatherSimdMaxBytes;
-}
-
-void gather_u64(const std::uint64_t* array, const std::uint64_t* idx,
-                std::size_t count, std::uint64_t* out) {
-#if defined(PAPC_SIMD_X86)
-    if (support::active_simd() == support::SimdLevel::kAvx2) {
-        gather_u64_avx2(array, idx, count, out);
-        return;
-    }
-#endif
-    gather_u64_scalar(array, idx, count, out);
-}
 
 void gather_packed(const std::uint64_t* words, const std::uint64_t* idx,
                    std::size_t count, unsigned log2_lane_bits, Opinion* out) {

@@ -1,19 +1,25 @@
 #pragma once
 
 /// \file simd_gather.hpp
-/// Gather primitives of the sync round kernels (PR 7): fill a contiguous
-/// strip buffer with array[idx[i]] so the decide loops read sequentially.
+/// The packed-lane gather of the sync round kernels: fill a contiguous
+/// strip buffer with the decoded lanes of a PackedOpinionArray so the
+/// decide loops read sequentially.
 ///
-/// Each function has a scalar loop and an AVX2 path
-/// (`_mm256_i64gather_epi64` — 4 random 64-bit loads per instruction,
-/// plus variable shifts for the bit-packed lane extraction) selected at
+/// gather_packed has a scalar loop and an AVX2 path
+/// (`_mm256_i64gather_epi64` — 4 random 64-bit word loads per
+/// instruction, then variable shifts extract each lane) selected at
 /// runtime through support::active_simd(). The two paths load the same
 /// memory and produce byte-identical output buffers — SIMD dispatch can
 /// never change a trajectory, only the rate (pinned by
-/// tests/sync/simd_equivalence_test.cpp). The AVX2 bodies live in
+/// tests/sync/simd_equivalence_test.cpp). The AVX2 body lives in
 /// simd_gather.cpp behind __attribute__((target("avx2"))) so the rest of
 /// the library still compiles for baseline x86-64 (and the
-/// -DPAPC_DISABLE_SIMD build compiles them out entirely).
+/// -DPAPC_DISABLE_SIMD build compiles it out entirely).
+///
+/// Algorithm 1's raw 8-byte state words have no SIMD path: a
+/// `vpgatherqq` kernel for them measured 0.97–1.17× the scalar loop's
+/// wall time on a 4-vCPU AVX-512 host at n = 2^17–2^20, so they gather
+/// with a plain loop (RawGather64 in sync/round_kernel.hpp).
 
 #include <cstddef>
 #include <cstdint>
@@ -21,33 +27,6 @@
 #include "opinion/types.hpp"
 
 namespace papc::sync::simd {
-
-/// out[i] = array[idx[i]] for i in [0, count) — the packed-word
-/// (generation << 32 | opinion) gather of Algorithm 1.
-void gather_u64(const std::uint64_t* array, const std::uint64_t* idx,
-                std::size_t count, std::uint64_t* out);
-
-/// The scalar path unconditionally (callers with their own dispatch
-/// policy, e.g. the u64 size gate below).
-void gather_u64_scalar_path(const std::uint64_t* array,
-                            const std::uint64_t* idx, std::size_t count,
-                            std::uint64_t* out);
-
-/// Size gate for the u64 gather: `vpgatherqq` only pays when the
-/// gathered array is LLC-resident. Measured on the reference Xeon
-/// (Algorithm 1 rounds/s, AVX2 vs forced scalar): 0.88x with the state
-/// L2-resident (n = 2^14), 1.22x in L3 (n = 2^18), 1.00x at the LLC
-/// boundary (n = 2^20), 0.78x from DRAM (n = 2^22) — the microcoded
-/// gather serializes address generation that out-of-order scalar loads
-/// overlap with the strip prefetches. Both bounds are gated; a test
-/// override (support::set_simd_override) bypasses the gate so the
-/// equivalence suites exercise the AVX2 path at any size. The packed
-/// gather needs no gate: its arrays are 4-16x smaller per node, so the
-/// resident band covers every practical n (and it also decodes lanes,
-/// amortizing the gather latency over more work).
-inline constexpr std::size_t kU64GatherSimdMinBytes = std::size_t{1} << 20U;
-inline constexpr std::size_t kU64GatherSimdMaxBytes = std::size_t{16} << 20U;
-[[nodiscard]] bool u64_gather_profitable(std::size_t array_bytes);
 
 /// Bit-packed lane gather: element i lives in
 ///   words[idx[i] >> index_shift], bits [(idx[i] & offset_mask) * w, +w)

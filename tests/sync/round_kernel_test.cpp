@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "opinion/assignment.hpp"
+#include "opinion/packed_array.hpp"
 #include "sync/algorithm1.hpp"
 #include "sync/schedule.hpp"
 
@@ -157,6 +158,57 @@ TEST(PackedState, RoundTripsGenerationAndOpinion) {
               0xFFFFFFFFU);
     EXPECT_EQ(packed_opinion(pack_state(0xFFFFFFFFU, 0xFFFFFFFEU)),
               0xFFFFFFFEU);
+}
+
+/// Runs gather_decide<kDraws> over `count` nodes of random indices into
+/// [0, size) and checks that decide(i, v) ran once per i, in ascending
+/// order, with v[d] == expected(idx[kDraws * i + d]).
+template <int kDraws, typename Gatherer, typename Expected>
+void expect_gather_decide_visits(const Gatherer& gatherer, std::size_t size,
+                                 Expected&& expected, Rng& rng) {
+    for (const std::size_t count : {0UL, 1UL, 255UL, 256UL, 257UL, 4096UL}) {
+        std::vector<std::uint64_t> idx(kDraws * count);
+        for (auto& i : idx) i = rng.uniform_index(size);
+        std::size_t next = 0;
+        gather_decide<kDraws>(gatherer, idx.data(), count,
+                              [&](std::size_t i,
+                                  const typename Gatherer::Value* v) {
+            ASSERT_EQ(i, next) << "count " << count;
+            for (int d = 0; d < kDraws; ++d) {
+                ASSERT_EQ(v[d], expected(idx[kDraws * i + d]))
+                    << "count " << count << " node " << i << " draw " << d;
+            }
+            ++next;
+        });
+        EXPECT_EQ(next, count) << "kDraws " << kDraws;
+    }
+}
+
+TEST(GatherDecide, VisitsEveryNodeInOrderWithItsSamples) {
+    // Counts straddle the kGatherStrip boundary (255/256/257) and fill a
+    // whole kRoundBlock, so every strip tail is checked directly.
+    static_assert(kGatherStrip == 256 && kRoundBlock == 4096);
+    Rng rng(59);
+    const std::size_t n = 10007;
+
+    std::vector<std::uint64_t> raw(n);
+    rng.fill_u64(raw.data(), raw.size());
+    const RawGather64 raw_gather{raw.data()};
+    const auto raw_at = [&](std::uint64_t i) { return raw[i]; };
+    expect_gather_decide_visits<1>(raw_gather, n, raw_at, rng);
+    expect_gather_decide_visits<2>(raw_gather, n, raw_at, rng);
+
+    // 4-bit lanes with ~1/4 undecided sentinels mixed in.
+    PackedOpinionArray packed(n, 13);
+    for (std::size_t i = 0; i < n; ++i) {
+        packed.set(i, rng.uniform_index(4) == 0
+                          ? kUndecided
+                          : static_cast<Opinion>(rng.uniform_index(13)));
+    }
+    const PackedGather packed_gather(packed);
+    const auto packed_at = [&](std::uint64_t i) { return packed.get(i); };
+    expect_gather_decide_visits<1>(packed_gather, n, packed_at, rng);
+    expect_gather_decide_visits<2>(packed_gather, n, packed_at, rng);
 }
 
 TEST(FusedCensus, MatchesRecountAfterManyAlgorithm1Rounds) {
