@@ -7,8 +7,7 @@
 /// (sync/simd_gather.hpp) that must be selected at runtime: the same
 /// binary runs on machines with and without AVX2, and the tests exercise
 /// the scalar fallback on AVX2 hardware by forcing dispatch the other way.
-/// That gather is the only dispatch site, and it takes the level as it
-/// is: no size gate or other heuristic sits on top. Resolution order:
+/// Resolution order:
 ///
 ///   1. a process-wide override installed by set_simd_override() — the
 ///      test hook the SIMD/scalar equivalence suite uses to pin both

@@ -82,8 +82,7 @@ inline constexpr std::size_t kGatherStrip = 256;
 
 /// Gatherer over a plain u64 array: out[i] = array[idx[i]] — Algorithm 1's
 /// packed (generation << 32 | opinion) state words. A plain loop: neither
-/// a `vpgatherqq` kernel nor a strip prefetch made it faster (README,
-/// "SIMD gather dispatch").
+/// a `vpgatherqq` kernel nor a strip prefetch made it faster.
 struct RawGather64 {
     using Value = std::uint64_t;
 

@@ -16,10 +16,9 @@
 /// the library still compiles for baseline x86-64 (and the
 /// -DPAPC_DISABLE_SIMD build compiles it out entirely).
 ///
-/// Algorithm 1's raw 8-byte state words have no SIMD path: a
-/// `vpgatherqq` kernel for them measured 0.97–1.17× the scalar loop's
-/// wall time on a 4-vCPU AVX-512 host at n = 2^17–2^20, so they gather
-/// with a plain loop (RawGather64 in sync/round_kernel.hpp).
+/// Algorithm 1's raw 8-byte state words have no SIMD path: RawGather64
+/// (sync/round_kernel.hpp) gathers them with a plain loop, because a
+/// `vpgatherqq` kernel measured no faster (README, "SIMD gather dispatch").
 
 #include <cstddef>
 #include <cstdint>
